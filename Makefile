@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln bench bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln bench bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling perfbench-check ci
 
 ## build: compile every package
 build:
@@ -137,7 +137,13 @@ examples-check:
 	$(GO) run ./examples/quickstart | diff -u examples/quickstart/golden.txt -
 	@echo examples OK
 
+## perfbench-check: vet and self-test the benchmark module (perfbench/ is
+## its own Go module, so the root ./... never reaches it, yet it imports
+## internal/storage, internal/exchange and internal/recon)
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check race bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke
+ci: build vet fmt-check race bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke perfbench-check

@@ -126,6 +126,30 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// System-level options given to System.Peer are rejected rather than
+// silently dropped: a peer asking for a durable directory must not quietly
+// run without durability.
+func TestPeerRejectsSystemOptions(t *testing.T) {
+	sys, err := orchestra.Open(geneSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for name, opt := range map[string]orchestra.Option{
+		"WithStore":      orchestra.WithStore(orchestra.NewMemoryStore()),
+		"WithDurableDir": orchestra.WithDurableDir(t.TempDir()),
+		"WithMetrics":    orchestra.WithMetrics(false),
+	} {
+		if _, err := sys.Peer("alice", opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("System.Peer(%s) error = %v", name, err)
+		}
+	}
+	// Per-peer options still work, and the rejections left alice unopened.
+	if _, err := sys.Peer("alice", orchestra.WithStrictConflicts(), orchestra.WithParallelism(1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestErrorMessagesKeepInternalDetail(t *testing.T) {
 	_, alice, _ := openGenes(t)
 	_, err := alice.Begin().Insert("Nope", gene("x", 1)).Commit()

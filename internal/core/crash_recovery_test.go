@@ -228,11 +228,11 @@ func testResolveSurvivesCrash(t *testing.T, ckBeforeResolve bool) {
 			d2.Instance().Size(), dresden.Instance().Size())
 	}
 	winRow := workload.OPSTuple("fly", "tnf", "XXXX")
-	got, ok := d2.Instance().Table("OPS").Get(winRow)
+	got, ok := d2.Instance().Get("OPS", winRow)
 	if !ok {
 		t.Fatal("recovered instance lost the winner's row")
 	}
-	want, _ := dresden.Instance().Table("OPS").Get(winRow)
+	want, _ := dresden.Instance().Get("OPS", winRow)
 	if !got.Prov.Equal(want.Prov) {
 		t.Errorf("provenance of %v: recovered %v, live %v", winRow, got.Prov, want.Prov)
 	}
@@ -362,11 +362,11 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	// The decisive check: the winner's row carries the live provenance, not a
 	// doubled polynomial from re-applying updates the rows already held.
 	winRow := workload.OPSTuple("fly", "tnf", "XXXX")
-	got, ok := d2.Instance().Table("OPS").Get(winRow)
+	got, ok := d2.Instance().Get("OPS", winRow)
 	if !ok {
 		t.Fatal("winner row missing after recovery")
 	}
-	want, _ := dresden.Instance().Table("OPS").Get(winRow)
+	want, _ := dresden.Instance().Get("OPS", winRow)
 	if !got.Prov.Equal(want.Prov) {
 		t.Errorf("winner provenance: recovered %v, live %v", got.Prov, want.Prov)
 	}

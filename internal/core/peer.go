@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
@@ -51,15 +50,6 @@ type Peer struct {
 	engineDirty bool
 	// unpublished holds committed local transactions awaiting Publish.
 	unpublished []*updates.Transaction
-	// qdb mirrors the local instance as a datalog EDB for the query path:
-	// queries take an O(#relations) copy-on-write snapshot of it instead of
-	// copying every table row per call. It is built lazily on first query
-	// and maintained incrementally by applyUpdates; qdbVersion records the
-	// local-instance version the mirror matches, so out-of-band instance
-	// writes (anything bypassing applyUpdates) are detected and trigger a
-	// rebuild rather than stale answers. Guarded by mu.
-	qdb        *datalog.DB
-	qdbVersion uint64
 	// db is the durable tier backing this peer (nil for in-memory systems):
 	// RecoverPeerWith attaches it so Resolve can archive its decision in the
 	// "r/" keyspace and rebuildEngine can restore from the last engine
@@ -224,7 +214,7 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 		// overwrite, or translated candidates, which reconciliation has
 		// already vetted and applies with upsert semantics.
 		if u.Op == updates.OpInsert {
-			if row, ok := p.local.Table(u.Rel).GetByKey(rel.KeyOf(u.New)); ok && !row.Tuple.Equal(u.New) {
+			if row, ok := p.local.GetByKey(u.Rel, rel.KeyOf(u.New)); ok && !row.Tuple.Equal(u.New) {
 				return nil, fmt.Errorf("core: commit at peer %s: %w", p.name,
 					&storage.ErrKeyViolation{Relation: u.Rel, Key: rel.KeyOf(u.New), Existing: row.Tuple, New: u.New})
 			}
@@ -252,131 +242,32 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 // Abort discards the transaction.
 func (t *Txn) Abort() { t.done = true }
 
-// applyUpdates applies translated or local updates to the local instance,
-// keeping the query mirror in lockstep when one is live.
+// applyUpdates applies translated or local updates to the local instance.
 func (p *Peer) applyUpdates(ups []updates.Update) error {
 	for _, u := range ups {
 		prov := u.Prov
 		if prov.IsZero() {
 			prov = provenance.One()
 		}
-		sync := p.mirrorInSync()
+		var err error
 		switch u.Op {
 		case updates.OpInsert:
-			replaced, err := p.local.Upsert(u.Rel, u.New, prov)
-			if err != nil {
-				return err
-			}
-			if sync {
-				p.mirrorUpsert(u.Rel, u.New, replaced)
-			}
+			_, err = p.local.Upsert(u.Rel, u.New, prov)
 		case updates.OpDelete:
-			if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
-				return err
-			}
-			if sync {
-				p.mirrorDelete(u.Rel, u.Old)
-			}
+			_, err = p.local.Delete(u.Rel, u.Old)
 		case updates.OpModify:
 			if u.Old != nil {
 				if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
 					return err
 				}
-				if sync {
-					p.mirrorDelete(u.Rel, u.Old)
-				}
 			}
-			sync = p.mirrorInSync()
-			replaced, err := p.local.Upsert(u.Rel, u.New, prov)
-			if err != nil {
-				return err
-			}
-			if sync {
-				p.mirrorUpsert(u.Rel, u.New, replaced)
-			}
+			_, err = p.local.Upsert(u.Rel, u.New, prov)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// mirrorInSync reports whether the query mirror exists and matches the
-// local instance exactly (no out-of-band writes since it was last synced).
-// Callers must hold p.mu.
-func (p *Peer) mirrorInSync() bool {
-	return p.qdb != nil && p.qdbVersion == p.local.Version()
-}
-
-// mirrorAdvance accounts one instance write in the mirror's version: if
-// anything else wrote the instance between the peer's write and this
-// bookkeeping (an out-of-band writer does not hold p.mu), the observed
-// version is not exactly one ahead and the mirror is dropped rather than
-// silently absorbing the foreign write's version. It reports whether the
-// mirror is still authoritative.
-func (p *Peer) mirrorAdvance() bool {
-	if v := p.local.Version(); v != p.qdbVersion+1 {
-		p.qdb = nil
-		return false
-	}
-	p.qdbVersion++
-	return true
-}
-
-// mirrorUpsert folds one applied upsert into the query mirror: the
-// key-replaced tuple (if any) leaves, and the stored row's exact merged
-// annotation is copied over. Callers must hold p.mu and have verified
-// mirrorInSync before the instance write.
-func (p *Peer) mirrorUpsert(rel string, tu schema.Tuple, replaced *schema.Tuple) {
-	if !p.mirrorAdvance() {
-		return
-	}
-	if replaced != nil {
-		p.qdb.Remove(rel, *replaced)
-	}
-	if row, ok := p.local.Table(rel).Get(tu); ok {
-		p.qdb.Set(rel, tu, row.Prov)
-	}
-}
-
-// mirrorDelete folds one applied delete into the query mirror.
-func (p *Peer) mirrorDelete(rel string, tu schema.Tuple) {
-	if !p.mirrorAdvance() {
-		return
-	}
-	p.qdb.Remove(rel, tu)
-}
-
-// queryEDB returns the local instance as a datalog EDB in O(#relations):
-// a copy-on-write snapshot of the maintained mirror, rebuilt only on first
-// use or after an out-of-band instance write. The rebuild is lazy per
-// relation: each extent is declared with a fill that scans a COW snapshot
-// of the instance, so a query materializes only the relations its plan
-// reaches, and the incremental maintenance in mirrorUpsert/mirrorDelete
-// composes with it (a delta for an unmaterialized relation first pulls the
-// snapshot rows, then applies on top). Evaluation derives into its own
-// extents, so the mirror itself is never mutated by a query. Callers must
-// hold p.mu.
-func (p *Peer) queryEDB() *datalog.DB {
-	if !p.mirrorInSync() {
-		// Capture the version before snapshotting: an out-of-band write
-		// racing the snapshot then leaves qdbVersion behind Version(), so the
-		// next query rebuilds instead of trusting a possibly torn mirror.
-		v := p.local.Version()
-		snap := p.local.Snapshot()
-		db := datalog.NewDB()
-		s := p.sys.Schema(p.name)
-		for _, rel := range s.Relations() {
-			name := rel.Name
-			db.SetLazy(name, func(add func(schema.Tuple, provenance.Poly)) {
-				rows, _ := snap.Rows(name)
-				for _, row := range rows {
-					add(row.Tuple, row.Prov)
-				}
-			})
-		}
-		p.qdb = db
-		p.qdbVersion = v
-	}
-	return p.qdb.Snapshot()
 }
 
 // Publish archives all committed-but-unpublished transactions in the store,

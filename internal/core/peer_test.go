@@ -7,9 +7,16 @@ import (
 	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
+	"orchestra/internal/storage"
 	"orchestra/internal/updates"
 	"orchestra/internal/workload"
 )
+
+// instRows returns the rows of one relation of p's local instance.
+func instRows(p *Peer, rel string) []storage.Row {
+	rows, _ := p.Instance().Rows(rel)
+	return rows
+}
 
 func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(nil, nil); err == nil {
@@ -143,8 +150,8 @@ func TestOwnTransactionsNotReapplied(t *testing.T) {
 	if r.Fetched != 1 || len(r.Accepted) != 0 || r.AppliedUpdates != 0 {
 		t.Errorf("self reconcile = %+v", r)
 	}
-	if alaska.Instance().Table("O").Len() != 1 {
-		t.Errorf("O duplicated: %v", alaska.Instance().Table("O").Rows())
+	if len(instRows(alaska, "O")) != 1 {
+		t.Errorf("O duplicated: %v", instRows(alaska, "O"))
 	}
 }
 
@@ -166,8 +173,8 @@ func TestConvergenceAcrossSharedSchemaPeers(t *testing.T) {
 		t.Errorf("alaska=%d tuples, beijing=%d tuples",
 			alaska.Instance().Size(), beijing.Instance().Size())
 	}
-	if alaska.Instance().Table("O").Len() != 2 {
-		t.Errorf("O = %v", alaska.Instance().Table("O").Rows())
+	if len(instRows(alaska, "O")) != 2 {
+		t.Errorf("O = %v", instRows(alaska, "O"))
 	}
 }
 
@@ -188,7 +195,7 @@ func TestDeletionPropagatesEndToEnd(t *testing.T) {
 	publish(t, alaska)
 	reconcile(t, dresden)
 	if dresden.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "ACGT")) {
-		t.Errorf("dresden kept deleted data: %v", dresden.Instance().Table("OPS").Rows())
+		t.Errorf("dresden kept deleted data: %v", instRows(dresden, "OPS"))
 	}
 }
 
@@ -208,7 +215,7 @@ func TestReconcileReportShapes(t *testing.T) {
 	if crete.Status(updates.TxnID{Peer: workload.Alaska, Seq: 1}) != recon.StatusPending {
 		t.Error("alaska txn should be pending at crete")
 	}
-	if crete.Instance().Table("OPS").Len() != 0 {
+	if len(instRows(crete, "OPS")) != 0 {
 		t.Error("crete applied untrusted data")
 	}
 }
@@ -257,10 +264,10 @@ func TestDiamondConvergenceAndIdempotence(t *testing.T) {
 	// Crete and Dresden both have the two OPS tuples (Dresden trusts all;
 	// Crete trusts Dresden for the fly tuple and... Alaska is untrusted,
 	// so Crete has only Dresden's).
-	if peers[workload.Dresden].Instance().Table("OPS").Len() != 2 {
-		t.Errorf("dresden OPS = %v", peers[workload.Dresden].Instance().Table("OPS").Rows())
+	if len(instRows(peers[workload.Dresden], "OPS")) != 2 {
+		t.Errorf("dresden OPS = %v", instRows(peers[workload.Dresden], "OPS"))
 	}
-	if peers[workload.Crete].Instance().Table("OPS").Len() != 1 {
-		t.Errorf("crete OPS = %v", peers[workload.Crete].Instance().Table("OPS").Rows())
+	if len(instRows(peers[workload.Crete], "OPS")) != 1 {
+		t.Errorf("crete OPS = %v", instRows(peers[workload.Crete], "OPS"))
 	}
 }

@@ -111,12 +111,12 @@ func (p *Peer) Query(ctx context.Context, q Query) ([]Answer, error) {
 
 // QueryGoal solves a goal query over the peer's current local instance.
 //
-// The instance is exposed to the evaluator as an O(#relations)
-// copy-on-write snapshot of a maintained datalog mirror — queries never
-// copy table rows, and the fixpoint only clones the extents it derives
-// into. Under the default GoalDirected mode the program is magic-rewritten
-// for the goal's binding pattern first, so selective queries touch only the
-// data their bindings can reach.
+// The evaluator reads an O(#relations) copy-on-write snapshot of the
+// instance's own datalog database — queries never copy rows, and the
+// fixpoint only clones the extents it derives into. Under the default
+// GoalDirected mode the program is magic-rewritten for the goal's binding
+// pattern first, so selective queries touch only the data their bindings
+// can reach.
 //
 // Answers list one tuple per binding of the goal's distinct free variables
 // (first-occurrence order), in deterministic order, annotated with exactly
@@ -134,7 +134,7 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.queries.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
-	edb := p.queryEDB()
+	edb := p.local.SnapshotDB()
 	opts := datalog.Options{
 		Provenance:  !q.NoProvenance,
 		Parallelism: p.engCfg.Parallelism,
@@ -229,11 +229,7 @@ type Support struct {
 func (p *Peer) Explain(rel string, tu schema.Tuple) (prov provenance.Poly, supports []Support, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tbl := p.local.Table(rel)
-	if tbl == nil {
-		return provenance.Poly{}, nil, false
-	}
-	row, found := tbl.Get(tu)
+	row, found := p.local.Get(rel, tu)
 	if !found {
 		return provenance.Poly{}, nil, false
 	}

@@ -182,9 +182,9 @@ func TestQueryGoalValidation(t *testing.T) {
 	}
 }
 
-// The query mirror must track commits: interleaved writes and queries see
-// exactly the current instance, including provenance merges and deletes.
-func TestQueryMirrorTracksWrites(t *testing.T) {
+// Queries must track commits: interleaved writes and queries see exactly
+// the current instance, including provenance merges and deletes.
+func TestQueryTracksWrites(t *testing.T) {
 	peers, _ := fig2(t)
 	alaska := peers[workload.Alaska]
 	ctx := context.Background()
@@ -207,14 +207,14 @@ func TestQueryMirrorTracksWrites(t *testing.T) {
 	if err != nil || len(ans) != 1 || !ans[0].Tuple[0].Equal(schema.String("rat")) {
 		t.Fatalf("after delete: %v %v", ans, err)
 	}
-	// Key-replacing modify: the mirror must drop the replaced tuple.
+	// Key-replacing modify: the replaced tuple must drop out.
 	commit(t, alaska.NewTransaction().Modify("O", workload.OTuple("rat", 2), workload.OTuple("gerbil", 2)))
 	ans, err = alaska.Query(ctx, q)
 	if err != nil || len(ans) != 1 || !ans[0].Tuple[0].Equal(schema.String("gerbil")) {
 		t.Fatalf("after modify: %v %v", ans, err)
 	}
-	// Out-of-band instance write (bypassing the peer API) must invalidate
-	// the mirror via the version check, not serve stale answers.
+	// A write straight to the instance (bypassing the peer API) is visible
+	// too: queries read the instance's own rows.
 	if err := alaska.Instance().Insert("O", workload.OTuple("heron", 9), provenance.One()); err != nil {
 		t.Fatal(err)
 	}

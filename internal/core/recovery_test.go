@@ -46,7 +46,7 @@ func TestPeerRecoveryFromArchive(t *testing.T) {
 	if !dresden2.Instance().Equal(dresden.Instance()) {
 		t.Fatalf("recovered instance (%d tuples) != original (%d tuples)\nrecovered: %v\noriginal: %v",
 			dresden2.Instance().Size(), dresden.Instance().Size(),
-			dresden2.Instance().Table("OPS").Rows(), dresden.Instance().Table("OPS").Rows())
+			instRows(dresden2, "OPS"), instRows(dresden, "OPS"))
 	}
 	if dresden2.Epoch() != dresden.Epoch() {
 		t.Errorf("epochs differ: %d vs %d", dresden2.Epoch(), dresden.Epoch())
@@ -96,6 +96,6 @@ func TestPeerRecoveryOverDurableStore(t *testing.T) {
 		t.Fatalf("report = %+v", r)
 	}
 	if !crete.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "ACGT")) {
-		t.Errorf("crete OPS = %v", crete.Instance().Table("OPS").Rows())
+		t.Errorf("crete OPS = %v", instRows(crete, "OPS"))
 	}
 }

@@ -87,7 +87,7 @@ func TestScenario1BidirectionalTranslation(t *testing.T) {
 		t.Fatalf("dresden report = %+v", r)
 	}
 	if !dresden.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "ACGT")) {
-		t.Errorf("dresden OPS = %v", dresden.Instance().Table("OPS").Rows())
+		t.Errorf("dresden OPS = %v", instRows(dresden, "OPS"))
 	}
 
 	// And vice versa: Dresden's insert reaches Alaska split into O, P, S
@@ -96,7 +96,7 @@ func TestScenario1BidirectionalTranslation(t *testing.T) {
 	publish(t, dresden)
 	reconcile(t, alaska)
 
-	oRows := alaska.Instance().Table("O").Rows()
+	oRows := instRows(alaska, "O")
 	foundFly := false
 	for _, row := range oRows {
 		if row.Tuple[0].Str() == "fly" && row.Tuple[1].IsLabeledNull() {
@@ -106,7 +106,7 @@ func TestScenario1BidirectionalTranslation(t *testing.T) {
 	if !foundFly {
 		t.Errorf("alaska O = %v", oRows)
 	}
-	sRows := alaska.Instance().Table("S").Rows()
+	sRows := instRows(alaska, "S")
 	foundSeq := false
 	for _, row := range sRows {
 		if row.Tuple[2].Str() == "GGGG" {
@@ -143,7 +143,7 @@ func TestScenario2TrustConflictAndCascade(t *testing.T) {
 		t.Errorf("dresden at crete: %s (report %+v)", crete.Status(dTxn.ID), r)
 	}
 	if !crete.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "AAAA")) {
-		t.Errorf("crete OPS = %v", crete.Instance().Table("OPS").Rows())
+		t.Errorf("crete OPS = %v", instRows(crete, "OPS"))
 	}
 	if crete.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "CCCC")) {
 		t.Error("crete applied dresden's rejected tuple")
@@ -183,7 +183,7 @@ func TestScenario3UntrustedAntecedentPulledIn(t *testing.T) {
 	// Beijing receives Alaska's data, then modifies the sequence.
 	reconcile(t, beijing)
 	if !beijing.Instance().Contains("S", workload.STuple(2, 20, "AAAA")) {
-		t.Fatalf("beijing S = %v", beijing.Instance().Table("S").Rows())
+		t.Fatalf("beijing S = %v", instRows(beijing, "S"))
 	}
 	bTxn := commit(t, beijing.NewTransaction().
 		Modify("S", workload.STuple(2, 20, "AAAA"), workload.STuple(2, 20, "TTTT")))
@@ -201,7 +201,7 @@ func TestScenario3UntrustedAntecedentPulledIn(t *testing.T) {
 	}
 	// The final state reflects Beijing's modification of Alaska's data.
 	if !crete.Instance().Contains("OPS", workload.OPSTuple("rat", "ins", "TTTT")) {
-		t.Errorf("crete OPS = %v", crete.Instance().Table("OPS").Rows())
+		t.Errorf("crete OPS = %v", instRows(crete, "OPS"))
 	}
 	if crete.Instance().Contains("OPS", workload.OPSTuple("rat", "ins", "AAAA")) {
 		t.Error("crete kept the superseded version")
@@ -234,8 +234,8 @@ func TestScenario4DeferralAndResolution(t *testing.T) {
 		t.Fatalf("dresden: beijing=%s alaska=%s (report %+v)",
 			dresden.Status(bTxn.ID), dresden.Status(aTxn.ID), r)
 	}
-	if dresden.Instance().Table("OPS").Len() != 0 {
-		t.Errorf("dresden applied deferred data: %v", dresden.Instance().Table("OPS").Rows())
+	if len(instRows(dresden, "OPS")) != 0 {
+		t.Errorf("dresden applied deferred data: %v", instRows(dresden, "OPS"))
 	}
 
 	// Crete accepts Beijing's (higher priority) and modifies it.
@@ -274,7 +274,7 @@ func TestScenario4DeferralAndResolution(t *testing.T) {
 	}
 	// Dresden's final state carries Crete's modification of Beijing's data.
 	if !dresden.Instance().Contains("OPS", workload.OPSTuple("fly", "tnf", "ZZZZ")) {
-		t.Errorf("dresden OPS = %v", dresden.Instance().Table("OPS").Rows())
+		t.Errorf("dresden OPS = %v", instRows(dresden, "OPS"))
 	}
 	if dresden.Instance().Contains("OPS", workload.OPSTuple("fly", "tnf", "YYYY")) {
 		t.Error("dresden applied the rejected side")
@@ -325,6 +325,6 @@ func TestScenario5OfflinePublisher(t *testing.T) {
 		t.Fatalf("alaska report = %+v", r)
 	}
 	if !alaska.Instance().Contains("S", workload.STuple(4, 40, "CAGT")) {
-		t.Errorf("alaska S = %v", alaska.Instance().Table("S").Rows())
+		t.Errorf("alaska S = %v", instRows(alaska, "S"))
 	}
 }

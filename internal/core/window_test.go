@@ -61,7 +61,7 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 				windows[0], receivers[0].Instance().Size())
 		}
 	}
-	if n := receivers[0].Instance().Table("O").Len(); n != 7 {
+	if n := len(instRows(receivers[0], "O")); n != 7 {
 		t.Errorf("O has %d tuples, want 7", n)
 	}
 }
@@ -95,7 +95,7 @@ func TestReconcileWindowAcrossRounds(t *testing.T) {
 			t.Fatalf("round %d: fetched %d accepted %d, want 3/3", round, rep.Fetched, len(rep.Accepted))
 		}
 	}
-	if n := beijing.Instance().Table("O").Len(); n != 9 {
+	if n := len(instRows(beijing, "O")); n != 9 {
 		t.Errorf("O has %d tuples after 3 rounds, want 9", n)
 	}
 }

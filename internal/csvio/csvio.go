@@ -91,11 +91,15 @@ func parseField(field string, kind schema.Kind) (schema.Value, error) {
 	}
 }
 
-// WriteRelation writes a table's tuples as CSV with a header row, in
-// deterministic order.
-func WriteRelation(w io.Writer, tbl *storage.Table) error {
+// WriteRelation writes the named relation's tuples as CSV with a header
+// row, in deterministic order.
+func WriteRelation(w io.Writer, inst *storage.Instance, name string) error {
+	rows, ok := inst.Rows(name)
+	if !ok {
+		return fmt.Errorf("csvio: %w %s", storage.ErrUnknownRelation, name)
+	}
+	rel := inst.Schema().Relation(name)
 	cw := csv.NewWriter(w)
-	rel := tbl.Relation()
 	header := make([]string, rel.Arity())
 	for i, a := range rel.Attrs {
 		header[i] = a.Name
@@ -103,7 +107,7 @@ func WriteRelation(w io.Writer, tbl *storage.Table) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, row := range tbl.Rows() {
+	for _, row := range rows {
 		rec := make([]string, len(row.Tuple))
 		for i, v := range row.Tuple {
 			rec[i] = formatField(v)
@@ -132,7 +136,7 @@ func WriteInstance(inst *storage.Instance, emit func(rel string) (io.Writer, err
 		if err != nil {
 			return err
 		}
-		if err := WriteRelation(w, inst.Table(rel.Name)); err != nil {
+		if err := WriteRelation(w, inst, rel.Name); err != nil {
 			return err
 		}
 	}

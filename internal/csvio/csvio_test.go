@@ -71,19 +71,19 @@ func TestAllKinds(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	rel := workload.Sigma1().Relation("S")
-	tbl := storage.NewTable(rel)
+	inst := storage.NewInstance(workload.Sigma1())
 	rows := []schema.Tuple{
 		workload.STuple(1, 10, "AC,GT"), // comma inside a field
 		workload.STuple(2, 20, "line\nbreak"),
 		schema.NewTuple(schema.LabeledNull("sk_M_CA_oid(s:fly)"), schema.Int(3), schema.String("TT")),
 	}
 	for _, r := range rows {
-		if err := tbl.Insert(r, provenance.One()); err != nil {
+		if err := inst.Insert("S", r, provenance.One()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteRelation(&buf, tbl); err != nil {
+	if err := WriteRelation(&buf, inst, "S"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRelation(&buf, rel)
@@ -93,14 +93,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if len(got) != len(rows) {
 		t.Fatalf("round trip lost rows: %v", got)
 	}
-	back := storage.NewTable(rel)
+	back := storage.NewInstance(workload.Sigma1())
 	for _, g := range got {
-		if err := back.Insert(g, provenance.One()); err != nil {
+		if err := back.Insert("S", g, provenance.One()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		if !back.Contains(r) {
+		if !back.Contains("S", r) {
 			t.Errorf("missing %v after round trip", r)
 		}
 	}

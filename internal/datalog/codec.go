@@ -48,11 +48,10 @@ type DBStats struct {
 	Bytes     int // encoded size
 }
 
-// EncodeDB serializes the database. Lazy extents are materialized first so
-// the snapshot is truthful. The encoding is deterministic (see the package
-// comment above): preds and vars are sorted, facts ride in Rel.Facts()
-// tuple order, and polynomial table indices are assigned in first-encounter
-// order over that fixed walk.
+// EncodeDB serializes the database. The encoding is deterministic (see the
+// package comment above): preds and vars are sorted, facts ride in
+// Rel.Facts() tuple order, and polynomial table indices are assigned in
+// first-encounter order over that fixed walk.
 func EncodeDB(db *DB) ([]byte, error) {
 	preds := db.Preds()
 	type extent struct {
@@ -175,14 +174,14 @@ func walkSnapshot(blob []byte, visit func(pred, tupleKey string, p provenance.Po
 	}
 	r := &reader{buf: blob[len(codecMagic):]}
 
-	nVars := r.uvarint()
+	nVars := r.count()
 	vars := make([]provenance.Var, 0, nVars)
 	for i := uint64(0); i < nVars; i++ {
 		vars = append(vars, provenance.Var(r.string()))
 	}
 	stats.Vars = len(vars)
 
-	nPolys := r.uvarint()
+	nPolys := r.count()
 	table := make([]provenance.Poly, 0, nPolys)
 	// Monomials and their variable-power lists are tiny, numerous, and all
 	// long-lived together once the poly table retains them, so carve them
@@ -192,7 +191,7 @@ func walkSnapshot(blob []byte, visit func(pred, tupleKey string, p provenance.Po
 	var monoArena []provenance.Monomial
 	var vpArena []provenance.VarPow
 	for i := uint64(0); i < nPolys; i++ {
-		nMonos := r.uvarint()
+		nMonos := r.count()
 		if int(nMonos) > cap(monoArena)-len(monoArena) {
 			size := 4096
 			if int(nMonos) > size {
@@ -204,7 +203,7 @@ func walkSnapshot(blob []byte, visit func(pred, tupleKey string, p provenance.Po
 		monoArena = monoArena[:len(monoArena)+int(nMonos)]
 		for j := uint64(0); j < nMonos; j++ {
 			m := provenance.Monomial{Coef: r.uvarint()}
-			nvp := r.uvarint()
+			nvp := r.count()
 			if int(nvp) > cap(vpArena)-len(vpArena) {
 				size := 8192
 				if int(nvp) > size {
@@ -234,10 +233,10 @@ func walkSnapshot(blob []byte, visit func(pred, tupleKey string, p provenance.Po
 	}
 	stats.PolyNodes = len(table)
 
-	nPreds := r.uvarint()
+	nPreds := r.count()
 	for i := uint64(0); i < nPreds; i++ {
 		pred := r.string()
-		nFacts := r.uvarint()
+		nFacts := r.count()
 		for j := uint64(0); j < nFacts; j++ {
 			key := r.string()
 			pi := r.uvarint()
@@ -288,6 +287,21 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// count reads a list length. Every list element takes at least one byte,
+// so a count above the bytes left marks a truncated or forged snapshot:
+// rejecting it here keeps a crafted length from sizing an allocation or
+// driving a loop far past the end of the input.
+func (r *reader) count() uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)) {
+		r.err = fmt.Errorf("datalog: truncated DB snapshot (count %d exceeds the %d bytes left)", n, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
 func (r *reader) string() string {

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -142,18 +143,32 @@ func TestCodecRejectsCorruptSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDB([]byte("XXXX")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := DecodeDB(nil); err == nil {
-		t.Fatal("empty snapshot accepted")
+	huge := binary.AppendUvarint(nil, 1<<62)
+	cases := []struct {
+		name string
+		blob []byte
+	}{
+		{"bad magic", []byte("XXXX")},
+		{"empty", nil},
+		{"trailing garbage", append(append([]byte(nil), blob...), 0x7)},
+		// Forged list lengths: each must fail fast, not size an allocation
+		// (a makeslice panic) or spin through 2^62 iterations.
+		{"huge var count", append([]byte(codecMagic), huge...)},
+		{"huge poly count", append([]byte(codecMagic+"\x00"), huge...)},
+		{"huge pred count", append([]byte(codecMagic+"\x00\x00"), huge...)},
 	}
 	for _, cut := range []int{len(blob) / 4, len(blob) / 2, len(blob) - 1} {
-		if _, err := DecodeDB(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+		cases = append(cases, struct {
+			name string
+			blob []byte
+		}{fmt.Sprintf("truncated at %d", cut), blob[:cut]})
 	}
-	if _, err := DecodeDB(append(append([]byte(nil), blob...), 0x7)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	for _, c := range cases {
+		if _, err := DecodeDB(c.blob); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if _, err := StatDB(c.blob); err == nil {
+			t.Errorf("%s: StatDB accepted", c.name)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package datalog
 
 import (
+	"maps"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"orchestra/internal/provenance"
@@ -39,6 +39,13 @@ type Rel struct {
 	// behind a few live stragglers.
 	free []*Fact
 	idx  relIndex // see index.go
+	// keyCols declares a primary key (see DB.Declare): pk maps each fact's
+	// key projection, encoded like a tuple key, to the fact's tuple key.
+	// Unlike the hash indexes, pk is copied along on copy-on-write, so a
+	// cloned keyed extent never pays an O(rows) key re-encoding. Both are
+	// nil on unkeyed extents, where the whole tuple is the key.
+	keyCols []int
+	pk      map[string]string
 	// shared marks the extent as reachable from a snapshot. Once set it is
 	// never cleared: each holder clones on its first subsequent mutation.
 	// Atomic so that concurrent evaluations over one shared EDB — each
@@ -129,8 +136,30 @@ func (r *Rel) putKeyed(k string, t schema.Tuple, p provenance.Poly) bool {
 	}
 	f := r.newFact(t, p.Intern())
 	r.facts[k] = f
+	if r.pk != nil {
+		r.pk[r.keyOf(t)] = k
+	}
 	r.indexInsert(f)
 	return true
+}
+
+// keyOf encodes t's projection on the extent's key columns. It goes
+// through Tuple.Key's memo: storage.Instance encodes the same projection
+// just before it writes, so the encoding here is a cache hit.
+func (r *Rel) keyOf(t schema.Tuple) string {
+	return t.Project(r.keyCols).Key()
+}
+
+// GetByKey returns the fact whose key projection equals key (see
+// DB.Declare); on an unkeyed extent key is the whole tuple.
+func (r *Rel) GetByKey(key schema.Tuple) (Fact, bool) {
+	if r.pk == nil {
+		return r.Get(key)
+	}
+	if k, ok := r.pk[key.Key()]; ok {
+		return *r.facts[k], true
+	}
+	return Fact{}, false
 }
 
 // remove deletes the fact stored under key k, keeping indexes in sync. The
@@ -143,6 +172,11 @@ func (r *Rel) remove(k string) {
 		return
 	}
 	delete(r.facts, k)
+	if r.pk != nil {
+		if pk := r.keyOf(f.Tuple); r.pk[pk] == k {
+			delete(r.pk, pk)
+		}
+	}
 	r.indexRemove(f)
 	*f = Fact{}
 	r.free = append(r.free, f)
@@ -158,105 +192,37 @@ func (r *Rel) Facts() []Fact {
 	return out
 }
 
-// lazyExtents is a shared registry of extents that materialize on first
-// access: each declared predicate carries a fill function that streams its
-// facts in (from a storage snapshot, an LSM checkpoint scan, ...) the first
-// time any attached DB touches the predicate. The registry is shared by a DB
-// and all its Snapshots, so one materialization serves every view; it is the
-// only concurrency-safe piece of a DB, because snapshots taken from one
-// mirror are evaluated on separate goroutines.
-type lazyExtents struct {
-	mu   sync.Mutex
-	fill map[string]func(add func(schema.Tuple, provenance.Poly))
-	done map[string]*Rel
-}
-
-// get materializes (or returns the cached) extent for pred. The extent
-// comes back marked shared: many DBs may attach it, so each must
-// copy-on-write before mutating, exactly as with snapshot-shared extents.
-func (l *lazyExtents) get(pred string) (*Rel, bool) {
-	if l == nil {
-		return nil, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r, ok := l.done[pred]; ok {
-		return r, true
-	}
-	fill, ok := l.fill[pred]
-	if !ok {
-		return nil, false
-	}
-	r := NewRel()
-	fill(func(t schema.Tuple, p provenance.Poly) { r.put(t, p) })
-	r.shared.Store(true)
-	l.done[pred] = r
-	return r, true
-}
-
-func (l *lazyExtents) has(pred string) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.fill[pred]
-	return ok
-}
-
-func (l *lazyExtents) preds() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.fill))
-	for p := range l.fill {
-		out = append(out, p)
-	}
-	return out
-}
-
 // DB maps predicate names to extents.
 type DB struct {
 	rels map[string]*Rel
-	// lazy holds declared-but-unmaterialized extents; nil for fully eager
-	// databases. Shared (by pointer) with snapshots.
-	lazy *lazyExtents
 }
 
 // NewDB creates an empty database.
 func NewDB() *DB { return &DB{rels: map[string]*Rel{}} }
 
-// SetLazy declares that pred's extent exists but materializes on first
-// access: fill streams the facts in when (if) the predicate is first
-// touched. Queries then pay only for the relations their plan reaches —
-// the point of the hook is feeding pull-based pipelines from sources
-// (instance snapshots, durable checkpoint scans) without loading every
-// relation up front. fill must be deterministic and safe to call from any
-// goroutine; it runs at most once per registry, under the registry lock.
-// An eager extent later created or mutated under the same name shadows the
-// lazy declaration.
-func (db *DB) SetLazy(pred string, fill func(add func(schema.Tuple, provenance.Poly))) {
-	if db.lazy == nil {
-		db.lazy = &lazyExtents{fill: map[string]func(add func(schema.Tuple, provenance.Poly)){}, done: map[string]*Rel{}}
+// Declare creates pred's extent keyed on the given columns: GetByKey then
+// finds a fact by its key projection. The key index is maintained on every
+// insertion and removal but not enforced — two facts sharing a key are the
+// caller's to prevent (storage.Instance does). With no columns the whole
+// tuple is the key and no index is kept.
+func (db *DB) Declare(pred string, keyCols []int) {
+	r := db.MutableRel(pred)
+	if len(keyCols) == 0 {
+		return
 	}
-	db.lazy.mu.Lock()
-	db.lazy.fill[pred] = fill
-	db.lazy.mu.Unlock()
+	r.keyCols = keyCols
+	r.pk = make(map[string]string, len(r.facts))
+	for k, f := range r.facts {
+		r.pk[r.keyOf(f.Tuple)] = k
+	}
 }
 
-// Rel returns the extent for pred, creating it if needed (materializing a
-// lazy declaration first). The returned extent may be shared with a
-// snapshot or a lazy registry: callers must treat it as read-only and
-// obtain mutable extents through MutableRel.
+// Rel returns the extent for pred, creating it if needed. The returned
+// extent may be shared with a snapshot: callers must treat it as read-only
+// and obtain mutable extents through MutableRel.
 func (db *DB) Rel(pred string) *Rel {
 	r, ok := db.rels[pred]
 	if !ok {
-		if lr, lok := db.lazy.get(pred); lok {
-			db.rels[pred] = lr
-			return lr
-		}
 		r = NewRel()
 		db.rels[pred] = r
 	}
@@ -264,18 +230,12 @@ func (db *DB) Rel(pred string) *Rel {
 }
 
 // MutableRel returns an extent for pred that is exclusively owned by db,
-// copy-on-write-cloning it first if it is shared with a snapshot or a lazy
-// registry. All mutation paths (put, remove, in-place provenance writes)
-// must go through it; with no snapshot outstanding it is a map lookup and a
-// flag test.
+// copy-on-write-cloning it first if it is shared with a snapshot. All
+// mutation paths (put, remove, in-place provenance writes) must go through
+// it; with no snapshot outstanding it is a map lookup and a flag test.
 func (db *DB) MutableRel(pred string) *Rel {
 	r, ok := db.rels[pred]
 	if !ok {
-		if lr, lok := db.lazy.get(pred); lok {
-			r = lr.cowClone()
-			db.rels[pred] = r
-			return r
-		}
 		r = NewRel()
 		db.rels[pred] = r
 		return r
@@ -290,11 +250,12 @@ func (db *DB) MutableRel(pred string) *Rel {
 // cowClone deep-copies the extent's facts (the *Fact structs are mutated in
 // place by provenance merges, so they cannot be shared across the COW
 // boundary). The clone's facts land in one exactly-sized slab — a cloned
-// shard is maximally dense regardless of the original's slab fill. Indexes
-// are not copied — the clone rebuilds them lazily on first probe, while the
-// frozen side keeps its own.
+// shard is maximally dense regardless of the original's slab fill. The key
+// index is copied as is (it holds tuple keys, not fact pointers); hash
+// indexes are not copied — the clone rebuilds them lazily on first probe,
+// while the frozen side keeps its own.
 func (r *Rel) cowClone() *Rel {
-	nr := NewRel()
+	nr := &Rel{facts: make(map[string]*Fact, len(r.facts)), keyCols: r.keyCols, pk: maps.Clone(r.pk)}
 	nr.slab = make([]Fact, 0, len(r.facts))
 	for k, f := range r.facts {
 		nr.slab = append(nr.slab, *f)
@@ -303,26 +264,17 @@ func (r *Rel) cowClone() *Rel {
 	return nr
 }
 
-// Has reports whether the predicate has a (possibly empty or still
-// unmaterialized) extent.
+// Has reports whether the predicate has a (possibly empty) extent.
 func (db *DB) Has(pred string) bool {
-	if _, ok := db.rels[pred]; ok {
-		return true
-	}
-	return db.lazy.has(pred)
+	_, ok := db.rels[pred]
+	return ok
 }
 
-// Preds returns the sorted predicate names present, including lazy
-// declarations not yet materialized.
+// Preds returns the sorted predicate names present.
 func (db *DB) Preds() []string {
 	out := make([]string, 0, len(db.rels))
 	for p := range db.rels {
 		out = append(out, p)
-	}
-	for _, p := range db.lazy.preds() {
-		if _, ok := db.rels[p]; !ok {
-			out = append(out, p)
-		}
 	}
 	sort.Strings(out)
 	return out
@@ -339,7 +291,7 @@ func (db *DB) AddTuple(pred string, t schema.Tuple) bool {
 }
 
 // Set stores the fact, replacing (not merging) any existing annotation for
-// the tuple. Mirrors of external stores use it to track the store's exact
+// the tuple. storage.Instance writes through it to keep its exact
 // annotation instead of Add's alternative-derivation accumulation. An
 // annotation-only change writes the stored fact in place — the tuple's
 // index entries are unaffected, so no index maintenance runs.
@@ -364,12 +316,8 @@ func (db *DB) Remove(pred string, t schema.Tuple) {
 	db.MutableRel(pred).remove(t.Key())
 }
 
-// Size returns the total number of facts; lazy extents materialize so the
-// count is truthful.
+// Size returns the total number of facts.
 func (db *DB) Size() int {
-	for _, p := range db.lazy.preds() {
-		db.Rel(p)
-	}
 	n := 0
 	for _, r := range db.rels {
 		n += len(r.facts)
@@ -388,7 +336,7 @@ func (db *DB) Size() int {
 // like the deep Clone it replaces, provided all mutations go through the DB
 // API (Add, MutableRel, and the evaluator's merge paths).
 func (db *DB) Snapshot() *DB {
-	c := &DB{rels: make(map[string]*Rel, len(db.rels)), lazy: db.lazy}
+	c := &DB{rels: make(map[string]*Rel, len(db.rels))}
 	for p, r := range db.rels {
 		r.shared.Store(true)
 		c.rels[p] = r
@@ -400,9 +348,6 @@ func (db *DB) Snapshot() *DB {
 // callers want Snapshot instead; Clone remains for tests and for callers
 // that need a guaranteed-private copy regardless of mutation patterns.
 func (db *DB) Clone() *DB {
-	for _, p := range db.lazy.preds() {
-		db.Rel(p)
-	}
 	c := NewDB()
 	for p, r := range db.rels {
 		c.rels[p] = r.cowClone()

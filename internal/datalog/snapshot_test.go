@@ -231,3 +231,40 @@ func factTuples(fs []*Fact) []schema.Tuple {
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
+
+// TestDeclaredKeyIndexAcrossCOW: a keyed extent's key index follows
+// insertions and removals, is copied (not rebuilt) by the copy-on-write
+// clone, and stays frozen on the snapshot side.
+func TestDeclaredKeyIndexAcrossCOW(t *testing.T) {
+	db := NewDB()
+	db.Add("R", schema.NewTuple(schema.Int(1), schema.String("a")), provenance.One())
+	db.Declare("R", []int{0}) // indexes facts already present
+	db.Add("R", schema.NewTuple(schema.Int(2), schema.String("b")), provenance.One())
+	key := func(k int64) schema.Tuple { return schema.NewTuple(schema.Int(k)) }
+	for k, want := range map[int64]string{1: "a", 2: "b"} {
+		if f, ok := db.Rel("R").GetByKey(key(k)); !ok || f.Tuple[1].Str() != want {
+			t.Fatalf("GetByKey(%d) = %v, %v", k, f, ok)
+		}
+	}
+	snap := db.Snapshot()
+	db.Remove("R", schema.NewTuple(schema.Int(1), schema.String("a")))
+	db.Add("R", schema.NewTuple(schema.Int(1), schema.String("c")), provenance.One())
+	if f, ok := db.Rel("R").GetByKey(key(1)); !ok || f.Tuple[1].Str() != "c" {
+		t.Errorf("live GetByKey(1) = %v, %v", f, ok)
+	}
+	if f, ok := snap.Rel("R").GetByKey(key(1)); !ok || f.Tuple[1].Str() != "a" {
+		t.Errorf("snapshot GetByKey(1) = %v, %v", f, ok)
+	}
+	db.Remove("R", schema.NewTuple(schema.Int(2), schema.String("b")))
+	if _, ok := db.Rel("R").GetByKey(key(2)); ok {
+		t.Error("removed key still indexed")
+	}
+	if _, ok := snap.Rel("R").GetByKey(key(2)); !ok {
+		t.Error("snapshot lost key 2")
+	}
+	// Unkeyed extents look the whole tuple up.
+	db.Add("U", schema.NewTuple(schema.Int(5)), provenance.One())
+	if _, ok := db.Rel("U").GetByKey(schema.NewTuple(schema.Int(5))); !ok {
+		t.Error("unkeyed GetByKey missed")
+	}
+}

@@ -69,7 +69,8 @@ func dump(w io.Writer, p *core.Peer) {
 	fmt.Fprintf(w, "  state of %s:\n", p.Name())
 	empty := true
 	for _, rel := range p.Instance().Schema().Relations() {
-		for _, r := range p.Instance().Table(rel.Name).Rows() {
+		rows, _ := p.Instance().Rows(rel.Name)
+		for _, r := range rows {
 			fmt.Fprintf(w, "    %s%s\n", rel.Name, r.Tuple)
 			empty = false
 		}

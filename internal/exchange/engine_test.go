@@ -267,8 +267,8 @@ func TestMaterializePeerTrustFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.Table("OPS").Len() != 2 {
-		t.Errorf("crete sees %d OPS tuples, want 2", all.Table("OPS").Len())
+	if rows, _ := all.Rows("OPS"); len(rows) != 2 {
+		t.Errorf("crete sees %d OPS tuples, want 2", len(rows))
 	}
 	// Crete trusting only Dresden sees only Dresden's tuple.
 	onlyD, err := e.MaterializePeer(context.Background(), workload.Crete, func(id updates.TxnID) bool {
@@ -277,9 +277,9 @@ func TestMaterializePeerTrustFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if onlyD.Table("OPS").Len() != 1 ||
+	if rows, _ := onlyD.Rows("OPS"); len(rows) != 1 ||
 		!onlyD.Contains("OPS", workload.OPSTuple("rat", "ins", "CCCC")) {
-		t.Errorf("crete(trust dresden) = %v", onlyD.Table("OPS").Rows())
+		t.Errorf("crete(trust dresden) = %v", rows)
 	}
 }
 

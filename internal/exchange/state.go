@@ -109,7 +109,7 @@ func (e *Engine) LoadState(blob []byte) error {
 	}
 	r.buf = r.buf[dbLen:]
 
-	nOcc := r.uvarint()
+	nOcc := r.count()
 	occ := make([]datalog.TokenEntry, 0, nOcc)
 	for i := uint64(0); i < nOcc && r.err == nil; i++ {
 		occ = append(occ, datalog.TokenEntry{
@@ -118,23 +118,23 @@ func (e *Engine) LoadState(blob []byte) error {
 			Key:  r.string(),
 		})
 	}
-	nDead := r.uvarint()
+	nDead := r.count()
 	dead := make([]provenance.Var, 0, nDead)
 	for i := uint64(0); i < nDead && r.err == nil; i++ {
 		dead = append(dead, provenance.Var(r.string()))
 	}
-	nBase := r.uvarint()
+	nBase := r.count()
 	base := make(map[string][]provenance.Var, nBase)
 	for i := uint64(0); i < nBase && r.err == nil; i++ {
 		k := r.string()
-		nToks := r.uvarint()
+		nToks := r.count()
 		toks := make([]provenance.Var, 0, nToks)
 		for j := uint64(0); j < nToks && r.err == nil; j++ {
 			toks = append(toks, provenance.Var(r.string()))
 		}
 		base[k] = toks
 	}
-	nApplied := r.uvarint()
+	nApplied := r.count()
 	applied := make(map[updates.TxnID]bool, nApplied)
 	for i := uint64(0); i < nApplied && r.err == nil; i++ {
 		id := updates.TxnID{Peer: r.string()}
@@ -198,6 +198,20 @@ func (r *stateReader) uvarint() uint64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// count reads a list length, rejecting one larger than the bytes left:
+// every element takes at least one byte, so such a count is a truncated or
+// forged snapshot, and trusting it would size an allocation from it.
+func (r *stateReader) count() uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)) {
+		r.err = fmt.Errorf("exchange: truncated engine snapshot (count %d exceeds the %d bytes left)", n, len(r.buf))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
 func (r *stateReader) string() string {

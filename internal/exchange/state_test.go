@@ -2,11 +2,13 @@ package exchange
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/updates"
 	"orchestra/internal/workload"
 )
@@ -143,6 +145,29 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 	}
 	if err := fresh.LoadState(append(append([]byte(nil), blob...), 1)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// Forged list lengths, one per count after the union database: each
+	// must fail fast instead of sizing an allocation from the count.
+	emptyDB, err := datalog.EncodeDB(datalog.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := binary.AppendUvarint([]byte(stateMagic), uint64(len(emptyDB)))
+	prefix = append(prefix, emptyDB...)
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for _, c := range []struct {
+		name string
+		body []byte // after the union database
+	}{
+		{"occurrences", huge},
+		{"dead tokens", append([]byte{0}, huge...)},
+		{"base keys", append([]byte{0, 0}, huge...)},
+		{"base tokens", append([]byte{0, 0, 1, 1, 'k'}, huge...)},
+		{"applied", append([]byte{0, 0, 0}, huge...)},
+	} {
+		if err := fresh.LoadState(append(append([]byte(nil), prefix...), c.body...)); err == nil {
+			t.Errorf("huge %s count accepted", c.name)
+		}
 	}
 	// A failed load leaves the engine usable and empty.
 	if fresh.Applied(updates.TxnID{Peer: workload.Alaska, Seq: 1}) {

@@ -367,9 +367,9 @@ func (r *REPL) dump(args []string) error {
 		rels = []*schema.Relation{rel}
 	}
 	for _, rel := range rels {
-		tbl := r.peer.Instance().Table(rel.Name)
-		fmt.Fprintf(r.out, "%s (%d tuples)\n", rel, tbl.Len())
-		for _, row := range tbl.Rows() {
+		rows, _ := r.peer.Instance().Rows(rel.Name)
+		fmt.Fprintf(r.out, "%s (%d tuples)\n", rel, len(rows))
+		for _, row := range rows {
 			fmt.Fprintf(r.out, "  %s\n", row.Tuple)
 		}
 	}

@@ -1,236 +1,228 @@
+// Package storage is the key-enforcing view through which each CDSS peer
+// reads and writes its local database instance. The rows live in a
+// datalog.DB, the structure queries evaluate over, so a peer holds one
+// copy of its data: reconciliation writes it through an Instance and
+// queries read an O(#relations) copy-on-write snapshot of it. Instance
+// adds what the DB does not enforce: schema validation, primary keys, and
+// locking.
+//
+// The full ORCHESTRA prototype sat on an RDBMS; this embedded store is the
+// laptop-scale substitute documented in DESIGN.md. It preserves the
+// semantics update exchange needs: set semantics, keys, and per-tuple
+// provenance.
 package storage
 
 import (
 	"fmt"
 	"sync"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
 
-// Instance is a database instance over one schema: one table per relation.
-// An Instance is safe for concurrent use; a coarse RW mutex suffices at the
-// scales a single CDSS peer handles between update exchanges.
+// Row is a stored tuple together with its provenance annotation. Base
+// tuples (locally inserted) carry a single provenance token; tuples derived
+// by update exchange carry the polynomial computed by the mapping rules.
+type Row = datalog.Fact
+
+// Instance is a database instance over one schema: one keyed extent per
+// relation. An Instance is safe for concurrent use; a coarse RW mutex
+// suffices at the scales a single CDSS peer handles between update
+// exchanges.
 type Instance struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
-	tables map[string]*Table
-	// version counts successful mutations (Insert/Upsert/Delete). Derived
-	// caches over the instance — notably the peer's datalog-EDB query mirror
-	// — compare versions to detect out-of-band writes and rebuild instead of
-	// serving stale data.
-	version uint64
+	db     *datalog.DB
 }
 
-// NewInstance creates an empty instance with one table per relation.
+// NewInstance creates an empty instance with one extent per relation,
+// keyed on the relation's primary key.
 func NewInstance(s *schema.Schema) *Instance {
-	inst := &Instance{schema: s, tables: map[string]*Table{}}
+	db := datalog.NewDB()
 	for _, r := range s.Relations() {
-		inst.tables[r.Name] = NewTable(r)
+		db.Declare(r.Name, r.Key)
 	}
-	return inst
+	return &Instance{schema: s, db: db}
 }
 
 // Schema returns the instance's schema.
 func (in *Instance) Schema() *schema.Schema { return in.schema }
 
-// Table returns the table for a relation name, or nil. The returned table
-// may be shared with a snapshot: callers must treat it as read-only and
-// mutate only through the Instance methods, which copy-on-write as needed.
-func (in *Instance) Table(name string) *Table {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.tables[name]
+// writable resolves rel and validates tu against it. Callers must hold
+// in.mu for writing.
+func (in *Instance) writable(rel string, tu schema.Tuple) (*schema.Relation, error) {
+	r := in.schema.Relation(rel)
+	if r == nil {
+		return nil, fmt.Errorf("%w %s", ErrUnknownRelation, rel)
+	}
+	return r, r.Validate(tu)
 }
 
-// mutable returns the exclusively owned table for rel, copy-on-write-cloning
-// it first if a snapshot shares it. Callers must hold in.mu for writing.
-func (in *Instance) mutable(rel string) (*Table, bool) {
-	t, ok := in.tables[rel]
-	if !ok {
+// extent returns rel's rows, or false for a relation the schema does not
+// declare. The extent may be shared with a snapshot, so callers only read
+// it, under in.mu.
+func (in *Instance) extent(rel string) (*datalog.Rel, bool) {
+	if !in.db.Has(rel) {
 		return nil, false
 	}
-	if t.shared.Load() {
-		t = t.cowClone()
-		in.tables[rel] = t
-	}
-	return t, true
+	return in.db.Rel(rel), true
 }
 
-// Insert adds a tuple to the named relation.
+// Insert adds a tuple to the named relation. Inserting an identical tuple
+// merges provenance by addition (alternative derivations). Inserting a
+// different tuple with an existing key returns *ErrKeyViolation.
 func (in *Instance) Insert(rel string, tu schema.Tuple, prov provenance.Poly) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
-	if !ok {
-		return fmt.Errorf("%w %s", ErrUnknownRelation, rel)
+	r, err := in.writable(rel, tu)
+	if err != nil {
+		return err
 	}
-	in.version++
-	return t.Insert(tu, prov)
+	ext := in.db.Rel(rel)
+	if row, ok := ext.Get(tu); ok {
+		in.db.Set(rel, row.Tuple, row.Prov.Add(prov))
+		return nil
+	}
+	key := r.KeyOf(tu)
+	if row, ok := ext.GetByKey(key); ok {
+		return &ErrKeyViolation{Relation: rel, Key: key, Existing: row.Tuple, New: tu}
+	}
+	// Stored tuples are immutable: keep a private copy of the caller's.
+	in.db.Set(rel, tu.Clone(), prov)
+	return nil
 }
 
-// Upsert inserts or key-replaces a tuple in the named relation.
+// Upsert inserts the tuple into the named relation, replacing any existing
+// tuple with the same primary key, and returns the replaced tuple, if any.
+// Upserting an identical tuple merges provenance and replaces nothing.
 func (in *Instance) Upsert(rel string, tu schema.Tuple, prov provenance.Poly) (*schema.Tuple, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
-	if !ok {
-		return nil, fmt.Errorf("%w %s", ErrUnknownRelation, rel)
+	r, err := in.writable(rel, tu)
+	if err != nil {
+		return nil, err
 	}
-	in.version++
-	return t.Upsert(tu, prov)
+	prev, ok := in.db.Rel(rel).GetByKey(r.KeyOf(tu))
+	switch {
+	case !ok:
+		in.db.Set(rel, tu.Clone(), prov)
+		return nil, nil
+	case prev.Tuple.Equal(tu):
+		in.db.Set(rel, prev.Tuple, prev.Prov.Add(prov))
+		return nil, nil
+	}
+	in.db.Remove(rel, prev.Tuple)
+	in.db.Set(rel, tu.Clone(), prov)
+	return &prev.Tuple, nil
 }
 
-// Delete removes a tuple from the named relation.
+// Delete removes the exact tuple from the named relation. It reports
+// whether the tuple was present.
 func (in *Instance) Delete(rel string, tu schema.Tuple) (bool, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
+	ext, ok := in.extent(rel)
 	if !ok {
 		return false, fmt.Errorf("%w %s", ErrUnknownRelation, rel)
 	}
-	in.version++
-	return t.Delete(tu), nil
+	if !ext.Contains(tu) {
+		return false, nil
+	}
+	in.db.Remove(rel, tu)
+	return true, nil
 }
 
-// Version returns the instance's mutation counter: it advances on every
-// Insert, Upsert, or Delete (successful or not — it only ever
-// over-invalidates). Snapshots and clones start their own counter.
-func (in *Instance) Version() uint64 {
+// Get returns the row holding exactly tu in the named relation.
+func (in *Instance) Get(rel string, tu schema.Tuple) (Row, bool) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	return in.version
+	if ext, ok := in.extent(rel); ok {
+		return ext.Get(tu)
+	}
+	return Row{}, false
 }
 
-// Rows returns the named relation's rows sorted by tuple order, under the
-// instance lock — safe against concurrent mutation, unlike calling
-// Table(rel).Rows() on a live instance. ok is false for an unknown
-// relation.
+// GetByKey returns the row of the named relation whose primary key is key.
+func (in *Instance) GetByKey(rel string, key schema.Tuple) (Row, bool) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if ext, ok := in.extent(rel); ok {
+		return ext.GetByKey(key)
+	}
+	return Row{}, false
+}
+
+// Rows returns the named relation's rows sorted by tuple order. ok is
+// false for an unknown relation.
 func (in *Instance) Rows(rel string) (rows []Row, ok bool) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	t, ok := in.tables[rel]
+	ext, ok := in.extent(rel)
 	if !ok {
 		return nil, false
 	}
-	return t.Rows(), true
+	return ext.Facts(), true
 }
 
 // Contains reports whether the named relation holds the exact tuple.
 func (in *Instance) Contains(rel string, tu schema.Tuple) bool {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	t, ok := in.tables[rel]
-	return ok && t.Contains(tu)
+	ext, ok := in.extent(rel)
+	return ok && ext.Contains(tu)
 }
 
 // Size returns the total number of tuples across all relations.
 func (in *Instance) Size() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	n := 0
-	for _, t := range in.tables {
-		n += t.Len()
-	}
-	return n
+	return in.db.Size()
 }
 
 // Snapshot returns an O(#relations) copy-on-write frozen view — the
 // mechanism behind the CDSS "public snapshot": the published view shares
-// every table with the live instance, and the first post-snapshot mutation
-// of a table (on either side) clones it, so later local edits never show
-// through the snapshot. Tables that are never edited are never copied.
+// every extent with the live instance, and the first post-snapshot
+// mutation of an extent (on either side) clones it, so later local edits
+// never show through the snapshot. Extents that are never edited are never
+// copied.
 func (in *Instance) Snapshot() *Instance {
-	in.mu.RLock() // shared flags are atomic; only the map iteration needs the lock
-	defer in.mu.RUnlock()
-	c := &Instance{schema: in.schema, tables: make(map[string]*Table, len(in.tables))}
-	for name, t := range in.tables {
-		t.shared.Store(true)
-		c.tables[name] = t
-	}
-	return c
-}
-
-// Clone returns an eager deep copy. Most callers want Snapshot instead;
-// Clone remains for tests and callers that need a guaranteed-private copy.
-func (in *Instance) Clone() *Instance {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	c := &Instance{schema: in.schema, tables: map[string]*Table{}}
-	for name, t := range in.tables {
-		c.tables[name] = t.Clone()
-	}
-	return c
+	return &Instance{schema: in.schema, db: in.db.Snapshot()}
 }
 
-// Delta is the difference between two instances over the same schema,
-// expressed as tuples to insert and tuples to delete per relation.
-type Delta struct {
-	Inserts map[string][]schema.Tuple
-	Deletes map[string][]schema.Tuple
+// SnapshotDB returns the same O(#relations) copy-on-write snapshot as a
+// datalog database, for evaluating queries over the instance's rows.
+func (in *Instance) SnapshotDB() *datalog.DB {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.db.Snapshot()
 }
 
-// Empty reports whether the delta contains no changes.
-func (d Delta) Empty() bool {
-	for _, ts := range d.Inserts {
-		if len(ts) > 0 {
-			return false
-		}
+// Equal reports whether two instances over the same schema hold exactly
+// the same tuples (ignoring provenance).
+func (in *Instance) Equal(o *Instance) bool {
+	if in == o {
+		return true
 	}
-	for _, ts := range d.Deletes {
-		if len(ts) > 0 {
-			return false
+	if in.schema != o.schema && in.schema.Name != o.schema.Name {
+		return false
+	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if in.db.Size() != o.db.Size() {
+		return false
+	}
+	for _, p := range in.db.Preds() {
+		ext, ok := o.extent(p)
+		for _, f := range in.db.Rel(p).Facts() {
+			if !ok || !ext.Contains(f.Tuple) {
+				return false
+			}
 		}
 	}
 	return true
-}
-
-// Count returns the total number of changed tuples.
-func (d Delta) Count() int {
-	n := 0
-	for _, ts := range d.Inserts {
-		n += len(ts)
-	}
-	for _, ts := range d.Deletes {
-		n += len(ts)
-	}
-	return n
-}
-
-// Diff computes the delta that transforms base into in: tuples present in
-// in but not base are inserts; tuples present in base but not in are
-// deletes. Both instances must share a schema.
-func (in *Instance) Diff(base *Instance) (Delta, error) {
-	if in.schema != base.schema && in.schema.Name != base.schema.Name {
-		return Delta{}, fmt.Errorf("storage: diff across schemas %s and %s", in.schema.Name, base.schema.Name)
-	}
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	base.mu.RLock()
-	defer base.mu.RUnlock()
-
-	d := Delta{Inserts: map[string][]schema.Tuple{}, Deletes: map[string][]schema.Tuple{}}
-	for name, t := range in.tables {
-		bt := base.tables[name]
-		for _, row := range t.Rows() {
-			if bt == nil || !bt.Contains(row.Tuple) {
-				d.Inserts[name] = append(d.Inserts[name], row.Tuple)
-			}
-		}
-		if bt != nil {
-			for _, row := range bt.Rows() {
-				if !t.Contains(row.Tuple) {
-					d.Deletes[name] = append(d.Deletes[name], row.Tuple)
-				}
-			}
-		}
-	}
-	return d, nil
-}
-
-// Equal reports whether two instances hold exactly the same tuples
-// (ignoring provenance).
-func (in *Instance) Equal(o *Instance) bool {
-	d, err := in.Diff(o)
-	return err == nil && d.Empty()
 }

@@ -1,7 +1,7 @@
 package orchestra_test
 
 // Micro-benchmarks for the individual substrates, complementing the E1–E7
-// experiment benchmarks: storage writes and indexed lookups, provenance
+// experiment benchmarks: storage writes, provenance
 // polynomial arithmetic, datalog fixpoints, wire codec, and trust-policy
 // evaluation.
 
@@ -20,53 +20,12 @@ import (
 )
 
 func BenchmarkStorageInsert(b *testing.B) {
-	tbl := storage.NewTable(workload.Sigma1().Relation("S"))
+	inst := storage.NewInstance(workload.Sigma1())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := int64(i)
-		if err := tbl.Insert(workload.STuple(k, k, "ACGT"), provenance.One()); err != nil {
+		if err := inst.Insert("S", workload.STuple(k, k, "ACGT"), provenance.One()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStorageIndexedLookup(b *testing.B) {
-	tbl := storage.NewTable(workload.Sigma1().Relation("S"))
-	for i := int64(0); i < 10000; i++ {
-		if err := tbl.Insert(workload.STuple(i%100, i, "ACGT"), provenance.One()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tbl.CreateIndex([]int{0})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := tbl.LookupIndex([]int{0}, schema.NewTuple(schema.Int(int64(i%100))))
-		if len(rows) != 100 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
-func BenchmarkInstanceDiff(b *testing.B) {
-	base := storage.NewInstance(workload.Sigma1())
-	cur := storage.NewInstance(workload.Sigma1())
-	for i := int64(0); i < 5000; i++ {
-		if err := base.Insert("S", workload.STuple(i, i, "A"), provenance.One()); err != nil {
-			b.Fatal(err)
-		}
-		tu := workload.STuple(i, i, "A")
-		if i%10 == 0 {
-			tu = workload.STuple(i, i, "B") // 10% modified
-		}
-		if err := cur.Insert("S", tu, provenance.One()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := cur.Diff(base)
-		if err != nil || d.Count() != 1000 {
-			b.Fatalf("diff = %d, %v", d.Count(), err)
 		}
 	}
 }

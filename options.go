@@ -5,6 +5,11 @@ import "time"
 // Option tunes Open (system-wide defaults) and System.Peer (per-peer
 // overrides). Options replace the exported configuration structs the
 // internal layers use; the zero configuration is always valid.
+//
+// These options also work per peer, at System.Peer: WithParallelism,
+// WithReconcileWindow, WithMaxMonomials, WithProvenance, WithTrustPolicy,
+// WithStrictConflicts and WithSlowOpThreshold. WithStore, WithDurableDir
+// and WithMetrics configure the whole system: System.Peer rejects them.
 type Option func(*settings)
 
 // settings is the resolved option set. A peer starts from the system's
@@ -31,6 +36,23 @@ func (s settings) apply(opts []Option) settings {
 		o(&s)
 	}
 	return s
+}
+
+// systemOnly names the first system-level option among opts, or returns
+// "". Options are opaque functions, so it applies them to two settings that
+// differ in every system-level field and reports the field that moved.
+func systemOnly(opts []Option) string {
+	off := settings{}.apply(opts)
+	on := settings{metrics: true}.apply(opts)
+	switch {
+	case off.store != nil:
+		return "WithStore"
+	case off.durableDir != "":
+		return "WithDurableDir"
+	case off.metrics || !on.metrics:
+		return "WithMetrics"
+	}
+	return ""
 }
 
 // WithParallelism bounds the worker pool evaluating independent mapping
@@ -63,7 +85,8 @@ func WithMaxMonomials(n int) Option { return func(s *settings) { s.maxMonomials 
 func WithProvenance(enabled bool) Option { return func(s *settings) { s.provenance = enabled } }
 
 // WithStore selects the published-update store the confederation shares
-// (default: a fresh in-process store). System-level; ignored on System.Peer.
+// (default: a fresh in-process store). System-level: System.Peer rejects
+// it.
 func WithStore(st Store) Option { return func(s *settings) { s.store = st } }
 
 // WithDurableDir puts the system on the durable LSM tier rooted at dir:
@@ -75,8 +98,8 @@ func WithStore(st Store) Option { return func(s *settings) { s.store = st } }
 // Peer.Checkpoint. System.Peer then recovers each peer from its last
 // checkpoint plus the published suffix, so a process crash loses at most
 // the local commits made after the last checkpoint or publish. Mutually
-// exclusive with WithStore (the durable tier IS the store); system-level,
-// ignored on System.Peer. System.Close checkpoints every open peer and
+// exclusive with WithStore (the durable tier IS the store). System-level:
+// System.Peer rejects it. System.Close checkpoints every open peer and
 // releases the database.
 func WithDurableDir(dir string) Option { return func(s *settings) { s.durableDir = dir } }
 
@@ -97,7 +120,7 @@ func WithStrictConflicts() Option { return func(s *settings) { s.strict = true }
 // span tracing, and the layer counters fed by lsm/exchange/datalog/core.
 // Disabling it reduces instrumentation to nil checks on hot paths — the
 // overhead benchmark gate in CI holds the enabled path within a few percent
-// of this disabled baseline. System-level; ignored on System.Peer.
+// of this disabled baseline. System-level: System.Peer rejects it.
 func WithMetrics(enabled bool) Option { return func(s *settings) { s.metrics = enabled } }
 
 // WithSlowOpThreshold makes every publish, reconcile, checkpoint, or query

@@ -118,6 +118,9 @@ func (s *System) Peer(name string, opts ...Option) (*Peer, error) {
 		}
 		return p, nil
 	}
+	if opt := systemOnly(opts); opt != "" {
+		return nil, fmt.Errorf("orchestra: %s configures the whole system; pass it to Open, not to System.Peer(%q)", opt, name)
+	}
 	set := s.base.apply(opts)
 	pol := set.policy
 	if pol == s.base.policy { // not overridden per peer: schema declarations win
