@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln bench bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling perfbench-check ci
+.PHONY: build test race vet fmt fmt-check lint vuln bench bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling fuzz-smoke perfbench-check ci
 
 ## build: compile every package
 build:
@@ -130,6 +130,18 @@ recovery-check:
 recovery-scaling:
 	sh scripts/recovery_scaling.sh
 
+## fuzz-smoke: run each checkpoint-codec fuzz target for FUZZTIME (native Go
+## fuzzing, toolchain only). Seed corpora, including past crashers, live in
+## internal/core/testdata/fuzz and also run as plain tests under `make test`.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = FuzzDecodeProv FuzzDecodeEngineBlob FuzzDecodePeerState
+fuzz-smoke:
+	@for f in $(FUZZ_TARGETS); do \
+		echo "fuzz $$f ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/core/ || exit 1; \
+	done
+	@echo fuzz smoke OK
+
 ## examples-check: build every example and golden-check quickstart's output,
 ## so API drift that breaks user-facing examples fails the gate
 examples-check:
@@ -146,4 +158,4 @@ perfbench-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check race bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke perfbench-check
+ci: build vet fmt-check race bench-smoke bench-compare bench-overhead recovery-check recovery-scaling fuzz-smoke examples-check endpoint-smoke perfbench-check

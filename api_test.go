@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"orchestra"
 )
@@ -139,13 +140,17 @@ func TestPeerRejectsSystemOptions(t *testing.T) {
 		"WithStore":      orchestra.WithStore(orchestra.NewMemoryStore()),
 		"WithDurableDir": orchestra.WithDurableDir(t.TempDir()),
 		"WithMetrics":    orchestra.WithMetrics(false),
+		// Both shape the translations every peer of the System shares.
+		"WithMaxMonomials":    orchestra.WithMaxMonomials(0),
+		"WithReconcileWindow": orchestra.WithReconcileWindow(4),
 	} {
 		if _, err := sys.Peer("alice", opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("System.Peer(%s) error = %v", name, err)
 		}
 	}
 	// Per-peer options still work, and the rejections left alice unopened.
-	if _, err := sys.Peer("alice", orchestra.WithStrictConflicts(), orchestra.WithParallelism(1)); err != nil {
+	if _, err := sys.Peer("alice", orchestra.WithStrictConflicts(), orchestra.WithParallelism(1),
+		orchestra.WithProvenance(false), orchestra.WithSlowOpThreshold(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -150,7 +150,13 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := core.RecoverPeerWith(ctx, topo.Names[len(topo.Names)-1], sys, ds, recon.TrustAll(1), exchange.Config{}, db)
+				// A fresh translator per recovery: a restarted process has no
+				// translated history in memory.
+				tr, err := core.NewTranslator(sys, ds, exchange.Config{}, db)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := core.RecoverPeerWith(ctx, topo.Names[len(topo.Names)-1], recon.TrustAll(1), tr)
 				if err != nil {
 					b.Fatal(err)
 				}

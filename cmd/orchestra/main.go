@@ -183,10 +183,10 @@ func main() {
 		if stats, ok, err := peer.SnapshotStats(); err != nil {
 			log.Fatal(err)
 		} else if ok {
-			fmt.Fprintf(os.Stderr, "engine snapshot: epoch %d, %d predicate(s), %d fact(s), %d polynomial node(s), %d variable(s), %d bytes\n",
+			fmt.Fprintf(os.Stderr, "system engine snapshot: epoch %d, %d predicate(s), %d fact(s), %d polynomial node(s), %d variable(s), %d bytes\n",
 				stats.Epoch, stats.Preds, stats.Facts, stats.PolyNodes, stats.Vars, stats.Bytes)
 		} else {
-			fmt.Fprintln(os.Stderr, "engine snapshot: none (no checkpoint yet)")
+			fmt.Fprintln(os.Stderr, "system engine snapshot: none (no checkpoint yet)")
 		}
 		for _, r := range peer.Relations() {
 			if *rel != "" && r.Name != *rel {

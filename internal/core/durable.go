@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
-	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
 	"orchestra/internal/provenance"
@@ -17,10 +17,10 @@ import (
 )
 
 // This file is the peer-side half of the durable tier: peers checkpoint
-// their full engine state into the same LSM database that holds the
-// published archive (p2p.DurableStore, prefix "a/"), and recover after a
-// crash by loading the checkpoint and replaying only the published suffix
-// the checkpoint does not already cover.
+// their state into the same LSM database that holds the published archive
+// (p2p.DurableStore, prefix "a/"), and recover after a crash by loading the
+// checkpoint and replaying only the published suffix the checkpoint does
+// not already cover.
 //
 // Checkpoint key layout (esc is lsm.AppendString, the order-preserving
 // escaped string encoding); the "c/", "e/", and "r/" prefixes cannot
@@ -28,21 +28,26 @@ import (
 //
 //	c/<esc peer>m                        -> JSON checkpointMeta
 //	c/<esc peer>r<esc rel><tuple bytes>  -> binary provenance polynomial (encodeProv)
+//	c/<esc peer>s                        -> peer-state blob: trust state + tracker (engineblob.go)
 //	c/<esc peer>u<index be32>            -> JSON p2p.WireTxn (unpublished)
-//	e/<esc peer>                         -> engine snapshot blob (engineblob.go)
+//	e/                                   -> the System's engine snapshot blob (engineblob.go)
 //	r/<esc peer><seq be64>               -> JSON resolveDecision
 //
 // The tuple decodes from the row key itself; the value holds only the
 // stored annotation, so a checkpoint relation is a contiguous, key-ordered
 // range of the LSM keyspace.
 //
-// The "e/" blob turns recovery from O(history) into O(suffix): it captures
-// the translation engine (union database, token log, base tokens, applied
-// set), the reconciliation state, the dependency tracker, and the adaptive
-// window's learned drain latency, all valid at the checkpoint epoch. The
-// "r/" archive makes Resolve decisions durable between checkpoints:
-// recovery re-applies them at their recorded position instead of letting
-// settled conflicts regress to deferred.
+// A peer's "c/" keys hold everything valid at its checkpoint epoch E: rows,
+// the reconciliation state with every settled conflict, the dependency
+// tracker, and the unpublished queue. Recovery restores them and replays
+// only the candidates published after E. The one "e/" blob per System
+// captures the shared Translator's engine (union database, token log, base
+// tokens, applied set) at a watermark W; a translator rebuilding at epoch
+// e ≥ W starts from it instead of from an empty engine, which turns
+// recovery from O(history) into O(suffix). The "r/" archive makes Resolve
+// decisions durable between checkpoints: recovery re-applies them at their
+// recorded position instead of letting settled conflicts regress to
+// deferred.
 
 const (
 	ckPrefix = "c/"
@@ -73,15 +78,16 @@ func ckRowKey(peer, rel string, tu schema.Tuple) []byte {
 	return lsm.AppendTuple(ckRelPrefix(peer, rel), tu)
 }
 
+func ckStateKey(peer string) []byte { return append(ckBase(peer), 's') }
+
 func ckUnpubPrefix(peer string) []byte { return append(ckBase(peer), 'u') }
 
 func ckUnpubKey(peer string, idx int) []byte {
 	return binary.BigEndian.AppendUint32(ckUnpubPrefix(peer), uint32(idx))
 }
 
-func ekKey(peer string) []byte {
-	return lsm.AppendString([]byte(ekPrefix), peer)
-}
+// ekKey is the System's one engine-snapshot key.
+var ekKey = []byte(ekPrefix)
 
 func rkBase(peer string) []byte {
 	return lsm.AppendString([]byte(rkPrefix), peer)
@@ -94,16 +100,11 @@ func rkKey(peer string, seq uint64) []byte {
 // resolveDecision is one archived Peer.Resolve outcome. AfterEpoch is the
 // peer's lastEpoch when the decision was made: recovery re-applies the
 // decision after replaying every transaction up to that epoch and before
-// any later one, reproducing the live ordering. InstanceApplied is set when
-// a later checkpoint captured the decision's instance effects in its rows
-// but could not fold the trust-state transition into an engine snapshot (a
-// dirty-engine checkpoint): recovery then repairs the trust state without
-// double-applying the winner's updates.
+// any later one, reproducing the live ordering.
 type resolveDecision struct {
-	WinnerPeer      string `json:"winner_peer"`
-	WinnerSeq       uint64 `json:"winner_seq"`
-	AfterEpoch      uint64 `json:"after_epoch"`
-	InstanceApplied bool   `json:"instance_applied,omitempty"`
+	WinnerPeer string `json:"winner_peer"`
+	WinnerSeq  uint64 `json:"winner_seq"`
+	AfterEpoch uint64 `json:"after_epoch"`
 }
 
 // ckPrefixEnd returns the tightest exclusive upper bound for a key prefix
@@ -194,22 +195,32 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 		data = data[n:]
 		return v, true
 	}
-	nMonos, ok := uvar()
+	// count reads a list length whose elements take at least two bytes
+	// each, rejecting one the remaining input cannot hold before it sizes
+	// an arena.
+	count := func() (int, bool) {
+		v, ok := uvar()
+		if !ok || v > uint64(len(data)/2) {
+			return 0, false
+		}
+		return int(v), true
+	}
+	nMonos, ok := count()
 	if !ok {
 		return bad()
 	}
-	ms := d.monos(int(nMonos))
-	for i := uint64(0); i < nMonos; i++ {
+	ms := d.monos(nMonos)
+	for i := 0; i < nMonos; i++ {
 		m := provenance.Monomial{}
 		if m.Coef, ok = uvar(); !ok {
 			return bad()
 		}
-		nVars, ok := uvar()
+		nVars, ok := count()
 		if !ok {
 			return bad()
 		}
-		m.Vars = d.varPows(int(nVars))
-		for j := uint64(0); j < nVars; j++ {
+		m.Vars = d.varPows(nVars)
+		for j := 0; j < nVars; j++ {
 			l, ok := uvar()
 			if !ok || uint64(len(data)) < l {
 				return bad()
@@ -217,7 +228,7 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 			v := provenance.Var(data[:l])
 			data = data[l:]
 			pow, ok := uvar()
-			if !ok {
+			if !ok || pow > math.MaxInt32 {
 				return bad()
 			}
 			m.Vars = append(m.Vars, provenance.VarPow{Var: v, Pow: int(pow)})
@@ -232,18 +243,17 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 
 // SaveCheckpoint writes the peer's durable state — every local instance row
 // with its provenance, the committed-but-unpublished transaction queue, the
-// (nextSeq, lastEpoch) meta record, and (engine permitting) the engine
-// snapshot blob — as ONE atomic, fsynced lsm.Batch that also deletes
-// whatever the previous checkpoint wrote and this one did not. A crash
-// therefore leaves either the old checkpoint or the new one, never a blend:
-// the batch is a single WAL record, and recovery replays it all or not at
-// all.
+// trust state and dependency tracker, and the (nextSeq, lastEpoch) meta
+// record — as ONE atomic, fsynced lsm.Batch that also deletes whatever the
+// previous checkpoint wrote and this one did not. A crash therefore leaves
+// either the old checkpoint or the new one, never a blend: the batch is a
+// single WAL record, and recovery replays it all or not at all.
 //
-// The engine snapshot folds every archived Resolve decision into the saved
-// trust state, so the same batch clears the decision archive. A dirty
-// engine (a failed Apply left it undefined) cannot snapshot: the stale blob
-// is deleted in the batch, and the decision archive is instead rewritten to
-// record that its instance effects are now covered by the checkpoint rows.
+// The saved trust state folds in every archived Resolve decision, so the
+// same batch clears the decision archive. The batch also refreshes the
+// System's "e/" engine snapshot when the shared translator stands exactly
+// at this peer's epoch and has moved since the stored snapshot; peers that
+// checkpoint at an unchanged head skip the blob.
 func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -253,18 +263,20 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	b := lsm.NewBatch()
 	var totalBytes int64
 	live := map[string]bool{}
+	put := func(key, val []byte) {
+		b.Put(key, val)
+		totalBytes += int64(len(key) + len(val))
+		live[string(key)] = true
+	}
 	s := p.sys.Schema(p.name)
 	for _, rel := range s.Relations() {
 		rows, _ := p.local.Rows(rel.Name)
 		for _, row := range rows {
-			key := ckRowKey(p.name, rel.Name, row.Tuple)
 			val, err := encodeProv(row.Prov)
 			if err != nil {
 				return fmt.Errorf("core: checkpoint %s: encode provenance: %w", p.name, err)
 			}
-			b.Put(key, val)
-			totalBytes += int64(len(key) + len(val))
-			live[string(key)] = true
+			put(ckRowKey(p.name, rel.Name, row.Tuple), val)
 		}
 	}
 	for i, t := range p.unpublished {
@@ -272,155 +284,93 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 		if err != nil {
 			return fmt.Errorf("core: checkpoint %s: encode unpublished txn: %w", p.name, err)
 		}
-		key := ckUnpubKey(p.name, i)
-		b.Put(key, data)
-		totalBytes += int64(len(key) + len(data))
-		live[string(key)] = true
+		put(ckUnpubKey(p.name, i), data)
 	}
+	state, err := encodePeerState(p.state.Save(), p.tracker.Save())
+	if err != nil {
+		return fmt.Errorf("core: checkpoint %s: peer state: %w", p.name, err)
+	}
+	put(ckStateKey(p.name), state)
 	meta, err := json.Marshal(checkpointMeta{NextSeq: p.nextSeq, LastEpoch: p.lastEpoch})
 	if err != nil {
 		return err
 	}
-	mk := ckMetaKey(p.name)
-	b.Put(mk, meta)
-	totalBytes += int64(len(mk) + len(meta))
-	live[string(mk)] = true
+	put(ckMetaKey(p.name), meta)
+	engBlob, err := p.tr.snapshotAt(db, p.lastEpoch)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint %s: %w", p.name, err)
+	}
+	if engBlob != nil {
+		b.Put(ekKey, engBlob)
+		totalBytes += int64(len(ekKey) + len(engBlob))
+	}
 
 	sn := db.Snapshot()
 	defer sn.Close()
-	ek := ekKey(p.name)
-	rb := rkBase(p.name)
-	snapshotted := !p.engineDirty
-	if snapshotted {
-		engBlob, err := p.engine.SaveState()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: engine state: %w", p.name, err)
-		}
-		blob, err := encodeEngineBlob(p.lastEpoch, p.win.PerTxnSeconds(), engBlob, p.state.Save(), p.tracker.Save())
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: engine snapshot: %w", p.name, err)
-		}
-		b.Put(ek, blob)
-		totalBytes += int64(len(ek) + len(blob))
-		// The saved trust state already reflects every archived decision;
-		// clear the archive in the same atomic batch.
-		err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-			b.Delete(append([]byte(nil), k...))
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: sweep decisions: %w", p.name, err)
-		}
-	} else {
-		b.Delete(ek)
-		// Keep the decisions (a snapshot-less recovery still needs them to
-		// repair the trust state) but mark their instance effects as covered
-		// by the rows this checkpoint writes.
-		var derr error
-		err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-			var d resolveDecision
-			if e := json.Unmarshal(v, &d); e != nil {
-				derr = e
-				return false
-			}
-			if !d.InstanceApplied {
-				d.InstanceApplied = true
-				data, e := json.Marshal(d)
-				if e != nil {
-					derr = e
-					return false
-				}
-				b.Put(append([]byte(nil), k...), data)
+	// Sweep the decision archive (the saved trust state reflects every
+	// decision) and the previous checkpoint: any key under this peer's
+	// prefix that the new checkpoint does not reassert is deleted in the
+	// same batch, so deleted rows and drained unpublished slots cannot leak
+	// back in.
+	for _, base := range [][]byte{rkBase(p.name), ckBase(p.name)} {
+		err := sn.Scan(base, ckPrefixEnd(base), func(k, v []byte) bool {
+			if !live[string(k)] {
+				b.Delete(append([]byte(nil), k...))
 			}
 			return true
 		})
-		if err == nil {
-			err = derr
-		}
 		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: rewrite decisions: %w", p.name, err)
+			return fmt.Errorf("core: checkpoint %s: sweep previous: %w", p.name, err)
 		}
-	}
-
-	// Sweep the previous checkpoint: any key under this peer's prefix that
-	// the new checkpoint does not reassert is deleted in the same batch, so
-	// deleted rows and drained unpublished slots cannot leak back in.
-	base := ckBase(p.name)
-	err = sn.Scan(base, ckPrefixEnd(base), func(k, v []byte) bool {
-		if !live[string(k)] {
-			b.Delete(append([]byte(nil), k...))
-		}
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: sweep previous: %w", p.name, err)
 	}
 	if err := db.Apply(b, true); err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", p.name, err)
 	}
-	if snapshotted {
-		p.resolveSeq = 0
+	if engBlob != nil {
+		p.tr.savedSnapshot(p.lastEpoch)
 	}
+	p.resolveSeq = 0
 	p.obsv.checkpointBytes.Set(totalBytes)
 	return nil
 }
 
-// RecoverPeerWith reconstructs a peer from its durable checkpoint in db
-// plus the published history in store. The invariant it restores: the
-// recovered peer is indistinguishable — instance rows, provenance, trust
-// state, dependency tracker, engine state, unpublished queue, sequence
-// counter, settled conflicts — from the same peer having processed the same
-// history live, with one documented exception (the published snapshot
-// equals the reconciled instance rather than the instant of the last
-// Publish).
-//
-// With an engine snapshot ("e/" blob) the whole recovery is O(suffix): the
-// engine, trust state, and tracker restore from the blob, only
-// transactions with epoch > the snapshot's watermark are fetched and
-// replayed, and archived Resolve decisions re-apply at their recorded
-// positions. Without a snapshot (no checkpoint ever, or the last one found
-// the engine dirty) recovery falls back to a full-history replay: the
-// checkpoint rows still spare the instance re-application for epochs ≤
-// LastEpoch (E), while translations and trust decisions replay from epoch
-// 0 — relying on ApplyAll's pinned batch-composition property — and
-// archived decisions repair the otherwise-regressed conflict state.
-func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config, db *lsm.DB) (*Peer, error) {
-	p, err := NewPeerWith(name, sys, store, policy, cfg)
-	if err != nil {
-		return nil, err
+// loadCheckpoint reads the peer's checkpoint from db into p — meta record,
+// trust state and tracker, instance rows, archived-decision sequence — and
+// returns the meta record, the checkpointed unpublished queue and the
+// archived decisions. No meta record means no checkpoint was ever taken:
+// the zero checkpoint (E = 0) comes back, and recovery replays the whole
+// history through the same code path.
+func (p *Peer) loadCheckpoint(db *lsm.DB) (meta checkpointMeta, unpublished []*updates.Transaction, decisions []resolveDecision, err error) {
+	meta = checkpointMeta{NextSeq: 1}
+	fail := func(stage string, err error) (checkpointMeta, []*updates.Transaction, []resolveDecision, error) {
+		return checkpointMeta{}, nil, nil, fmt.Errorf("%s: %w", stage, err)
 	}
-	p.db = db
-	fail := func(stage string, err error) (*Peer, error) {
-		return nil, fmt.Errorf("core: recover peer %s: %s: %w", name, stage, err)
-	}
-	loadStart := time.Now()
-
-	// Phase 1 — load the checkpoint: meta record, engine snapshot blob,
-	// instance rows, unpublished queue, archived decisions. No meta record
-	// means no checkpoint was ever taken: recovery degenerates to a
-	// full-history replay from a fresh peer (E = 0), the same code path.
-	meta := checkpointMeta{NextSeq: 1}
-	var ckUnpublished []*updates.Transaction
-	var snap *engineSnapshot
-	var decisions []resolveDecision
+	name := p.name
 	sn := db.Snapshot()
-	if raw, ok, err := sn.Get(ckMetaKey(name)); err != nil {
-		sn.Close()
+	defer sn.Close()
+	raw, checkpointed, err := sn.Get(ckMetaKey(name))
+	if err != nil {
 		return fail("read meta", err)
-	} else if ok {
+	}
+	if checkpointed {
 		if err := json.Unmarshal(raw, &meta); err != nil {
-			sn.Close()
 			return fail("decode meta", err)
 		}
-	}
-	if raw, ok, err := sn.Get(ekKey(name)); err != nil {
-		sn.Close()
-		return fail("read engine snapshot", err)
-	} else if ok {
-		if snap, err = decodeEngineBlob(raw); err != nil {
-			sn.Close()
-			return fail("decode engine snapshot", err)
+		raw, ok, err := sn.Get(ckStateKey(name))
+		if err == nil && !ok {
+			err = fmt.Errorf("checkpoint has no peer state")
 		}
+		if err != nil {
+			return fail("read peer state", err)
+		}
+		st, writers, err := decodePeerState(raw)
+		if err != nil {
+			return fail("decode peer state", err)
+		}
+		if err := p.state.Restore(st); err != nil {
+			return fail("restore trust state", err)
+		}
+		p.tracker.Restore(writers)
 	}
 	rp := ckRowPrefix(name)
 	var derr error
@@ -451,7 +401,6 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		err = derr
 	}
 	if err != nil {
-		sn.Close()
 		return fail("checkpoint rows", err)
 	}
 	up := ckUnpubPrefix(name)
@@ -467,14 +416,13 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			derr = e
 			return false
 		}
-		ckUnpublished = append(ckUnpublished, t)
+		unpublished = append(unpublished, t)
 		return true
 	})
 	if err == nil {
 		err = derr
 	}
 	if err != nil {
-		sn.Close()
 		return fail("checkpoint unpublished", err)
 	}
 	rb := rkBase(name)
@@ -493,141 +441,110 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		}
 		return true
 	})
-	sn.Close()
 	if err == nil {
 		err = derr
 	}
 	if err != nil {
 		return fail("checkpoint decisions", err)
 	}
+	return meta, unpublished, decisions, nil
+}
+
+// RecoverPeerWith reconstructs a peer from its durable checkpoint in the
+// translator's database plus the published history in the translator's
+// store. The invariant it restores: the recovered peer is
+// indistinguishable — instance rows, provenance, trust state, dependency
+// tracker, unpublished queue, sequence counter, settled conflicts — from
+// the same peer having processed the same history live, with one
+// documented exception (the published snapshot equals the reconciled
+// instance rather than the instant of the last Publish).
+//
+// The checkpoint holds the peer's state at its epoch E, so recovery only
+// replays the candidates published after E, reading their translations
+// from the shared translator (which starts from the System's "e/" engine
+// snapshot when its watermark is ≤ E). Archived Resolve decisions re-apply
+// at their recorded positions. Without a checkpoint, E is 0 and the whole
+// history replays through the same path.
+func RecoverPeerWith(ctx context.Context, name string, policy *recon.Policy, tr *Translator) (*Peer, error) {
+	db := tr.db
+	if db == nil {
+		return nil, fmt.Errorf("core: recover peer %s: the translator has no durable tier", name)
+	}
+	p, err := NewPeerWith(name, policy, tr)
+	if err != nil {
+		return nil, err
+	}
+	p.db = db
+	fail := func(stage string, err error) (*Peer, error) {
+		return nil, fmt.Errorf("core: recover peer %s: %s: %w", name, stage, err)
+	}
+	loadStart := time.Now()
+
+	// Phase 1 — load the checkpoint.
+	meta, ckUnpublished, decisions, err := p.loadCheckpoint(db)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover peer %s: %w", name, err)
+	}
 	p.nextSeq = meta.NextSeq
 	E := meta.LastEpoch
-
-	restored := snap != nil
-	if restored {
-		if snap.Watermark != E {
-			// Blob and meta are written in the same atomic batch; a mismatch
-			// means the keyspace was tampered with.
-			return fail("engine snapshot", fmt.Errorf("watermark %d != checkpoint epoch %d", snap.Watermark, E))
-		}
-		if err := p.engine.LoadState(snap.Engine); err != nil {
-			return fail("restore engine", err)
-		}
-		if err := p.state.Restore(snap.State); err != nil {
-			return fail("restore trust state", err)
-		}
-		p.tracker.Restore(snap.Writers)
-		p.win.SeedPerTxn(snap.PerTxn)
-	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
 
-	// Phase 2 — fetch the history the restored state does not cover (the
-	// suffix after E with a snapshot, everything without one) and replay
-	// translations through the engine in adaptive windows (same
-	// group-commit shape as Reconcile), leaving the engine exactly where a
-	// live peer's would be.
-	sinceEpoch := uint64(0)
-	if restored {
-		sinceEpoch = E
-	}
-	txns, storeEpoch, err := store.Since(sinceEpoch)
+	// Phase 2 — the translations of everything published after E.
+	entries, storeEpoch, err := tr.advance(ctx, E, nil, nil)
 	if err != nil {
-		return fail("fetch history", err)
+		return fail("replay translations", err)
 	}
-	p.recReplayTxns = int64(len(txns))
+	p.recReplayTxns = int64(len(entries))
 	p.pendingRecovery = true
-	results := make([]*exchange.Result, 0, len(txns))
-	for rest := txns; len(rest) > 0; {
-		n := p.win.Next(len(rest))
-		start := time.Now()
-		rs, err := p.engine.ApplyAll(ctx, rest[:n])
-		if err != nil {
-			return fail("replay translations", err)
-		}
-		p.win.Observe(n, time.Since(start))
-		results = append(results, rs...)
-		rest = rest[n:]
-	}
 
-	// A checkpoint-unpublished transaction that later shows up in the store
-	// was published in the window between the checkpoint and the crash: it
-	// re-enters the trust state at its epoch slot and must NOT be restored
-	// to the unpublished queue (the archive already has it).
+	// The checkpointed unpublished queue is already in the restored trust
+	// state (commit accepts it). A queued transaction that shows up in the
+	// store was published between the checkpoint and the crash: the archive
+	// has it, so it must not return to the queue.
 	ownInStore := map[updates.TxnID]bool{}
-	for _, t := range txns {
-		if t.ID.Peer == name {
-			ownInStore[t.ID] = true
+	for _, e := range entries {
+		if e.txn.ID.Peer == name {
+			ownInStore[e.txn.ID] = true
 		}
 	}
-	inCk := map[updates.TxnID]bool{}
 	for _, t := range ckUnpublished {
-		inCk[t.ID] = true
+		if !ownInStore[t.ID] {
+			p.unpublished = append(p.unpublished, t)
+		}
 	}
 
 	// Phase 3 — replay decisions in epoch order. Candidate runs are flushed
 	// through state.Reconcile at every boundary that changes what "applying
 	// the outcome" means: at each of our own transactions (AcceptLocal must
 	// interleave at its true position — acceptance order decides write
-	// conflicts), at each archived Resolve decision (the decision settled
-	// conflicts exactly between the epochs its AfterEpoch records), and at
-	// the E boundary (outcomes at epochs ≤ E are already reflected in the
-	// checkpoint rows and must not re-apply; outcomes after E must).
+	// conflicts) and at each archived Resolve decision (the decision settled
+	// conflicts exactly between the epochs its AfterEpoch records).
 	// Batch-insensitivity of state.Reconcile makes the coarser replay
-	// partitioning equivalent to the original round structure. With a
-	// restored snapshot every fetched transaction is post-E, so every
-	// outcome applies and the trust state picks up where the blob left off.
+	// partitioning equivalent to the original round structure.
 	var run []*updates.Transaction
-	var runRes []*exchange.Result
-	runPre := false
-	flush := func(pre bool) error {
+	flush := func() error {
 		if len(run) == 0 {
 			return nil
 		}
-		cands := make([]*updates.Transaction, 0, len(run))
-		for i, txn := range run {
-			cands = append(cands, &updates.Transaction{
-				ID:      txn.ID,
-				Epoch:   txn.Epoch,
-				Updates: runRes[i].PerPeer[name],
-				Deps:    mergeDeps(txn.Deps, runRes[i].ExtraDeps[name]),
-			})
-		}
-		outcome, err := p.state.Reconcile(policy, cands)
+		outcome, err := p.state.Reconcile(policy, run)
 		if err != nil {
 			return err
 		}
 		for _, t := range outcome.Accepted {
-			if !pre {
-				if err := p.applyUpdates(t.Updates); err != nil {
-					return err
-				}
+			if err := p.applyUpdates(t.Updates); err != nil {
+				return err
 			}
 			// RecordWrites, not Record: replay must restore the archived
 			// dependency edges, not recompute them against replay-time state.
 			p.tracker.RecordWrites(t)
 		}
-		run, runRes = nil, nil
-		return nil
-	}
-	restoreUnpublished := func() error {
-		for _, t := range ckUnpublished {
-			if ownInStore[t.ID] {
-				continue
-			}
-			// With a restored snapshot the blob's trust state and tracker
-			// already hold these (they were accepted at commit time, before
-			// the checkpoint); only the queue needs rebuilding.
-			if !restored {
-				if err := p.state.AcceptLocal(t); err != nil {
-					return err
-				}
-				p.tracker.RecordWrites(t)
-			}
-			p.unpublished = append(p.unpublished, t)
-		}
+		run = nil
 		return nil
 	}
 	applyDecision := func(d resolveDecision) error {
+		if err := flush(); err != nil {
+			return err
+		}
 		winner := updates.TxnID{Peer: d.WinnerPeer, Seq: d.WinnerSeq}
 		if p.state.Status(winner) == recon.StatusAccepted {
 			return nil // already settled; re-application is a no-op
@@ -637,73 +554,45 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return err
 		}
 		for _, t := range outcome.Accepted {
-			if !d.InstanceApplied {
-				if err := p.applyUpdates(t.Updates); err != nil {
-					return err
-				}
+			if err := p.applyUpdates(t.Updates); err != nil {
+				return err
 			}
 			p.tracker.RecordWrites(t)
 		}
 		return nil
 	}
 	di := 0
-	crossed := false
-	for i, txn := range txns {
-		for di < len(decisions) && decisions[di].AfterEpoch < txn.Epoch {
-			if err := flush(runPre); err != nil {
-				return fail("replay decisions", err)
-			}
+	for _, e := range entries {
+		txn := e.txn
+		for ; di < len(decisions) && decisions[di].AfterEpoch < txn.Epoch; di++ {
 			if err := applyDecision(decisions[di]); err != nil {
 				return fail("reapply resolve decision", err)
 			}
-			di++
 		}
-		pre := txn.Epoch <= E
-		if !pre && !crossed {
-			// Entering the post-checkpoint suffix: settle everything the
-			// checkpoint covers, then re-accept the never-published local
-			// commits — they were trusted before the crash, so they must be
-			// in the trust state before any suffix candidate is judged.
-			if err := flush(true); err != nil {
-				return fail("replay decisions", err)
-			}
-			if err := restoreUnpublished(); err != nil {
-				return fail("restore unpublished", err)
-			}
-			crossed = true
-		}
-		if txn.ID.Peer == name {
-			if err := flush(runPre); err != nil {
-				return fail("replay decisions", err)
-			}
-			// Our own published transaction. With a restored snapshot it may
-			// already be in the trust state (it sat in the unpublished queue
-			// at checkpoint time and published before the crash); otherwise
-			// its effects are in the checkpoint if it published before the
-			// checkpoint (epoch ≤ E) or was in the checkpointed unpublished
-			// queue, and it must re-apply if it committed after.
-			known := p.state.Status(txn.ID) != recon.StatusUnknown
-			if !known {
-				if !pre && !inCk[txn.ID] {
-					if err := p.applyUpdates(txn.Updates); err != nil {
-						return fail("reapply own txn", err)
-					}
-				}
-				if err := p.state.AcceptLocal(txn); err != nil {
-					return fail("accept own txn", err)
-				}
-				p.tracker.RecordWrites(txn)
-			}
-			if txn.ID.Seq >= p.nextSeq {
-				p.nextSeq = txn.ID.Seq + 1
-			}
+		if txn.ID.Peer != name {
+			run = append(run, p.candidate(e))
 			continue
 		}
-		run = append(run, txn)
-		runRes = append(runRes, results[i])
-		runPre = pre
+		if err := flush(); err != nil {
+			return fail("replay decisions", err)
+		}
+		// Our own published transaction. The restored trust state knows it
+		// when it committed before the checkpoint, whose rows then hold its
+		// effects; otherwise it committed after E and re-applies here.
+		if p.state.Status(txn.ID) == recon.StatusUnknown {
+			if err := p.applyUpdates(txn.Updates); err != nil {
+				return fail("reapply own txn", err)
+			}
+			if err := p.state.AcceptLocal(txn); err != nil {
+				return fail("accept own txn", err)
+			}
+			p.tracker.RecordWrites(txn)
+		}
+		if txn.ID.Seq >= p.nextSeq {
+			p.nextSeq = txn.ID.Seq + 1
+		}
 	}
-	if err := flush(runPre); err != nil {
+	if err := flush(); err != nil {
 		return fail("replay decisions", err)
 	}
 	for ; di < len(decisions); di++ {
@@ -711,16 +600,9 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return fail("reapply resolve decision", err)
 		}
 	}
-	if !crossed {
-		if err := restoreUnpublished(); err != nil {
-			return fail("restore unpublished", err)
-		}
-	}
 
-	p.lastEpoch = storeEpoch
-	if E > p.lastEpoch {
-		p.lastEpoch = E
-	}
+	p.lastEpoch = max(storeEpoch, E)
+	tr.commit(name, p.lastEpoch)
 	// The published snapshot is approximated by the recovered instance; when
 	// the unpublished queue is nonempty the two diverge until the next
 	// Publish refreshes it, exactly as documented in DESIGN.md.

@@ -77,7 +77,11 @@ func recoverPeer(t *testing.T, name string, store p2p.Store, policy *recon.Polic
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := RecoverPeerWith(context.Background(), name, sys, store, policy, exchange.Config{}, db)
+	tr, err := NewTranslator(sys, store, exchange.Config{}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := RecoverPeerWith(context.Background(), name, policy, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,9 +379,14 @@ func TestQuickDurableMatchesMemoryOracle(t *testing.T) {
 			// Every peer re-attaches to the reopened store through recovery:
 			// the victim from its checkpoint, the others from the archive
 			// alone (no checkpoint — full replay, which also restores their
-			// sequence counters from their own published history).
+			// sequence counters from their own published history). They
+			// share one translator, as the peers of one process do.
+			tr, err := NewTranslator(sysD, durStore, exchange.Config{}, db)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, name := range topo.Names {
-				p, err := RecoverPeerWith(context.Background(), name, sysD, durStore, recon.TrustAll(1), exchange.Config{}, db)
+				p, err := RecoverPeerWith(context.Background(), name, recon.TrustAll(1), tr)
 				if err != nil {
 					t.Fatal(err)
 				}

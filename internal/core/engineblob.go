@@ -13,21 +13,27 @@ import (
 	"orchestra/internal/updates"
 )
 
-// Engine-snapshot blob (DESIGN.md §13): the single value under the "e/"
-// keyspace that captures everything a peer accumulates outside its instance
-// rows — the translation engine (through exchange.Engine.SaveState), the
-// reconciliation state, the dependency tracker, the adaptive-window EWMA
-// seed, and the epoch watermark the snapshot is valid at. A recovered peer
-// that finds this blob restores instead of replaying: only transactions with
-// epoch > the watermark re-enter the engine and the trust state.
+// Engine-snapshot blob (DESIGN.md §13): the single value under the "e/" key
+// of a durable System. It captures the shared translation engine (through
+// exchange.Engine.SaveState), the adaptive-window EWMA seed, and the epoch
+// watermark the snapshot is valid at. A Translator rebuilding at epoch e
+// restores it when its watermark is ≤ e and replays only the store after
+// the watermark.
 //
-// Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
-// the checkpoint codec's binary encodeProv bytes):
+// Layout (uvarint integers):
 //
-//	magic "OEB1"
+//	magic "OEB2"
 //	watermark epoch
 //	window EWMA (8 bytes, IEEE-754 bits big-endian)
 //	engLen, then the exchange.Engine.SaveState blob
+//
+// Peer-state blob: the value under each peer's "c/<peer>s" checkpoint key,
+// holding what a peer accumulates outside its instance rows — the
+// reconciliation state and the dependency tracker, valid at the
+// checkpoint's epoch. Layout (uvarint integers, uvarint-length-prefixed
+// strings, provenance as the checkpoint codec's binary encodeProv bytes):
+//
+//	magic "OTS1"
 //	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
 //	          [full: nUps · { rel, op, oldKey, newKey, provBytes }],
 //	          nDeps · { peer, seq } }
@@ -40,24 +46,55 @@ import (
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-const engineBlobMagic = "OEB1"
+const (
+	engineBlobMagic = "OEB2"
+	peerStateMagic  = "OTS1"
+)
 
-// engineSnapshot is the decoded form of the blob.
+// engineSnapshot is the decoded form of the "e/" blob.
 type engineSnapshot struct {
 	Watermark uint64
 	PerTxn    float64
 	Engine    []byte
-	State     *recon.SavedState
-	Writers   []updates.SavedWriter
 }
 
-func encodeEngineBlob(watermark uint64, perTxn float64, engineBlob []byte, st *recon.SavedState, writers []updates.SavedWriter) ([]byte, error) {
+func encodeEngineBlob(watermark uint64, perTxn float64, engineBlob []byte) []byte {
 	buf := append([]byte(nil), engineBlobMagic...)
 	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(perTxn))
 	buf = binary.AppendUvarint(buf, uint64(len(engineBlob)))
-	buf = append(buf, engineBlob...)
+	return append(buf, engineBlob...)
+}
 
+func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
+	r, err := newBlobReader(blob, engineBlobMagic, "engine snapshot")
+	if err != nil {
+		return nil, err
+	}
+	snap := &engineSnapshot{}
+	snap.Watermark = r.uvarint()
+	snap.PerTxn = math.Float64frombits(r.be64())
+	snap.Engine = r.bytes()
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// readEngineSnapshot decodes the System's "e/" blob from db; nil, nil when
+// there is none.
+func readEngineSnapshot(db *lsm.DB) (*engineSnapshot, error) {
+	sn := db.Snapshot()
+	defer sn.Close()
+	raw, ok, err := sn.Get(ekKey)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return decodeEngineBlob(raw)
+}
+
+func encodePeerState(st *recon.SavedState, writers []updates.SavedWriter) ([]byte, error) {
+	buf := append([]byte(nil), peerStateMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(st.Txns)))
 	for _, sv := range st.Txns {
 		t := sv.Txn
@@ -117,17 +154,17 @@ func encodeEngineBlob(watermark uint64, perTxn float64, engineBlob []byte, st *r
 	return buf, nil
 }
 
-func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
-	if len(blob) < len(engineBlobMagic) || string(blob[:len(engineBlobMagic)]) != engineBlobMagic {
-		return nil, fmt.Errorf("core: not an engine snapshot (bad magic)")
+func decodePeerState(blob []byte) (*recon.SavedState, []updates.SavedWriter, error) {
+	r, err := newBlobReader(blob, peerStateMagic, "peer state")
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &blobReader{buf: blob[len(engineBlobMagic):]}
-	snap := &engineSnapshot{State: &recon.SavedState{}}
-	snap.Watermark = r.uvarint()
-	snap.PerTxn = math.Float64frombits(r.be64())
-	snap.Engine = r.bytes()
-
-	nTxns := r.uvarint()
+	st := &recon.SavedState{}
+	var writers []updates.SavedWriter
+	var pd provDecoder
+	// Every list element takes at least one byte, so no count may exceed
+	// the bytes left: a corrupt count fails here instead of looping.
+	nTxns := r.count()
 	for i := uint64(0); i < nTxns && r.err == nil; i++ {
 		t := &updates.Transaction{}
 		t.ID.Peer = r.string()
@@ -135,15 +172,15 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		t.Epoch = r.uvarint()
 		status := recon.Status(r.uvarint())
 		if r.err == nil && status > recon.StatusDeferred {
-			r.err = fmt.Errorf("core: engine snapshot has unknown status %d", status)
+			r.err = fmt.Errorf("core: peer state has unknown status %d", status)
 		}
 		prio := int(r.varint())
 		if r.byte() == 1 {
-			nUps := r.uvarint()
+			nUps := r.count()
 			for j := uint64(0); j < nUps && r.err == nil; j++ {
 				u := updates.Update{Rel: r.string(), Op: updates.Op(r.byte())}
 				if r.err == nil && u.Op > updates.OpModify {
-					r.err = fmt.Errorf("core: engine snapshot has unknown op %d", u.Op)
+					r.err = fmt.Errorf("core: peer state has unknown op %d", u.Op)
 					break
 				}
 				if u.Old, r.err = parseTupleKey(r.string(), r.err); r.err != nil {
@@ -156,58 +193,55 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 				if r.err != nil {
 					break
 				}
-				if u.Prov, r.err = decodeProv(pv); r.err != nil {
+				if u.Prov, r.err = pd.decode(pv); r.err != nil {
 					break
 				}
 				t.Updates = append(t.Updates, u)
 			}
 		}
-		nDeps := r.uvarint()
+		nDeps := r.count()
 		for j := uint64(0); j < nDeps && r.err == nil; j++ {
 			d := updates.TxnID{Peer: r.string()}
 			d.Seq = r.uvarint()
 			t.Deps = append(t.Deps, d)
 		}
-		snap.State.Txns = append(snap.State.Txns, recon.SavedTxn{Txn: t, Status: status, Prio: prio})
+		st.Txns = append(st.Txns, recon.SavedTxn{Txn: t, Status: status, Prio: prio})
 	}
 
-	nOrder := r.uvarint()
+	nOrder := r.count()
 	for i := uint64(0); i < nOrder && r.err == nil; i++ {
 		id := updates.TxnID{Peer: r.string()}
 		id.Seq = r.uvarint()
-		snap.State.AppliedOrder = append(snap.State.AppliedOrder, id)
+		st.AppliedOrder = append(st.AppliedOrder, id)
 	}
-	nWrites := r.uvarint()
+	nWrites := r.count()
 	for i := uint64(0); i < nWrites && r.err == nil; i++ {
 		w := recon.SavedWrite{Key: r.string(), Writer: updates.TxnID{Peer: r.string()}}
 		w.Writer.Seq = r.uvarint()
 		w.Del = r.byte() == 1
 		w.TupKey = r.string()
-		snap.State.Writes = append(snap.State.Writes, w)
+		st.Writes = append(st.Writes, w)
 	}
-	nWriters := r.uvarint()
+	nWriters := r.count()
 	for i := uint64(0); i < nWriters && r.err == nil; i++ {
 		w := updates.SavedWriter{Key: r.string(), Writer: updates.TxnID{Peer: r.string()}}
 		w.Writer.Seq = r.uvarint()
-		snap.Writers = append(snap.Writers, w)
+		writers = append(writers, w)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.finish(); err != nil {
+		return nil, nil, err
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after engine snapshot", len(r.buf))
-	}
-	return snap, nil
+	return st, writers, nil
 }
 
-// EngineSnapshotStats summarizes the union-database section of a peer's
-// durable engine snapshot without materializing it, plus the epoch watermark
-// the snapshot is valid at. The boolean reports whether a snapshot exists —
-// `orchestra inspect` dumps this.
-func EngineSnapshotStats(db *lsm.DB, peer string) (stats datalog.DBStats, watermark uint64, ok bool, err error) {
+// EngineSnapshotStats summarizes the union-database section of the
+// System's durable engine snapshot without materializing it, plus the epoch
+// watermark the snapshot is valid at. The boolean reports whether a
+// snapshot exists — `orchestra inspect` dumps this.
+func EngineSnapshotStats(db *lsm.DB) (stats datalog.DBStats, watermark uint64, ok bool, err error) {
 	sn := db.Snapshot()
 	defer sn.Close()
-	raw, found, err := sn.Get(ekKey(peer))
+	raw, found, err := sn.Get(ekKey)
 	if err != nil || !found {
 		return datalog.DBStats{}, 0, false, err
 	}
@@ -245,10 +279,32 @@ func appendBlobString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// blobReader is a cursor over the blob body with sticky error handling.
+// blobReader is a cursor over a blob body with sticky error handling.
 type blobReader struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	kind string
+}
+
+// newBlobReader checks blob's magic and returns a reader over the rest;
+// kind names the blob in errors.
+func newBlobReader(blob []byte, magic, kind string) (*blobReader, error) {
+	if len(blob) < len(magic) || string(blob[:len(magic)]) != magic {
+		return nil, fmt.Errorf("core: not a %s (bad magic)", kind)
+	}
+	return &blobReader{buf: blob[len(magic):], kind: kind}, nil
+}
+
+func (r *blobReader) fail(what string) {
+	r.err = fmt.Errorf("core: truncated %s (%s)", r.kind, what)
+}
+
+// finish reports the sticky error, or trailing bytes after a clean decode.
+func (r *blobReader) finish() error {
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = fmt.Errorf("core: %d trailing bytes after %s", len(r.buf), r.kind)
+	}
+	return r.err
 }
 
 func (r *blobReader) uvarint() uint64 {
@@ -257,11 +313,21 @@ func (r *blobReader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bad varint)")
+		r.fail("bad varint")
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// count reads a list length, rejecting one larger than the bytes left.
+func (r *blobReader) count() uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)) {
+		r.fail("count overruns buffer")
+		return 0
+	}
+	return n
 }
 
 func (r *blobReader) varint() int64 {
@@ -270,7 +336,7 @@ func (r *blobReader) varint() int64 {
 	}
 	v, n := binary.Varint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bad varint)")
+		r.fail("bad varint")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -282,7 +348,7 @@ func (r *blobReader) byte() byte {
 		return 0
 	}
 	if len(r.buf) == 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (missing byte)")
+		r.fail("missing byte")
 		return 0
 	}
 	b := r.buf[0]
@@ -295,7 +361,7 @@ func (r *blobReader) be64() uint64 {
 		return 0
 	}
 	if len(r.buf) < 8 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (missing word)")
+		r.fail("missing word")
 		return 0
 	}
 	v := binary.BigEndian.Uint64(r.buf)
@@ -309,7 +375,7 @@ func (r *blobReader) bytes() []byte {
 		return nil
 	}
 	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bytes overrun buffer)")
+		r.fail("bytes overrun buffer")
 		return nil
 	}
 	b := r.buf[:n]

@@ -19,7 +19,7 @@ import (
 type observer struct {
 	reg    *obs.Registry
 	slowOp time.Duration
-	// stats is the peer's engine-shared datalog.EvalStats (from
+	// stats is the translator's engine-shared datalog.EvalStats (from
 	// exchange.Config.Stats); the observer folds per-operation fixpoint-round
 	// deltas out of it and installs it as the default query stats sink.
 	stats *datalog.EvalStats
@@ -44,8 +44,9 @@ type observer struct {
 // SetObserver installs the peer's observability surface: operation spans and
 // counters record into reg, and operations slower than slowOp (when > 0) log
 // a structured warning through log/slog. The engine's evaluation counters
-// ride the peer's exchange.Config.Stats, so callers that want fixpoint-round
-// deltas must have built the peer with Config.Stats set. Passing a nil reg
+// ride the translator's exchange.Config.Stats, so callers that want
+// fixpoint-round deltas must have built the translator with Config.Stats
+// set. Passing a nil reg
 // disables observation again.
 func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 	p.mu.Lock()
@@ -57,7 +58,7 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 	p.obsv = observer{
 		reg:         reg,
 		slowOp:      slowOp,
-		stats:       p.engCfg.Stats,
+		stats:       p.tr.cfg.Stats,
 		publishes:   reg.Counter("core_publish_total"),
 		publishedTx: reg.Counter("core_published_txns_total"),
 		reconciles:  reg.Counter("core_reconcile_total"),

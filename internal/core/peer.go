@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
 	"orchestra/internal/provenance"
@@ -30,33 +28,25 @@ type Peer struct {
 	policy    *recon.Policy
 	local     *storage.Instance
 	published *storage.Instance
-	engine    *exchange.Engine
+	// tr is the translation engine the peer shares with every other peer of
+	// its System over the same store; Reconcile reads the translations of
+	// the transactions published after lastEpoch from its log.
+	tr        *Translator
 	state     *recon.State
 	tracker   *updates.Tracker
 	nextSeq   uint64
 	lastEpoch uint64
-	// engCfg is retained so the engine can be rebuilt after a mid-Apply
-	// failure leaves it in an undefined state (see engineDirty).
-	engCfg exchange.Config
-	// win sizes Reconcile's group-commit windows from observed drain
-	// latency; its estimate survives engine rebuilds (the replacement engine
-	// drains at the same speed the dirty one did).
-	win *exchange.AdaptiveWindow
-	// engineDirty marks the translation engine as unusable: an Apply
-	// failed partway through a transaction (cooperative cancellation can
-	// abandon a half-propagated fixpoint), which exchange.Engine declares
-	// fatal. The next Reconcile rebuilds the engine by replaying the
-	// published history up to lastEpoch.
-	engineDirty bool
+	// queryPar is the worker bound for this peer's queries (see
+	// SetQueryParallelism); translation parallelism belongs to tr.
+	queryPar int
 	// unpublished holds committed local transactions awaiting Publish.
 	unpublished []*updates.Transaction
 	// db is the durable tier backing this peer (nil for in-memory systems):
 	// RecoverPeerWith attaches it so Resolve can archive its decision in the
-	// "r/" keyspace and rebuildEngine can restore from the last engine
-	// snapshot instead of replaying the full history.
+	// "r/" keyspace.
 	db *lsm.DB
-	// resolveSeq numbers the next archived Resolve decision; a clean
-	// checkpoint folds the archive into the engine snapshot and resets it.
+	// resolveSeq numbers the next archived Resolve decision; a checkpoint
+	// folds the archive into the saved trust state and resets it.
 	resolveSeq uint64
 	// pendingRecovery buffers recovery metrics until SetObserver installs
 	// the registry (recovery runs before the observer exists — see
@@ -91,21 +81,23 @@ type ApplyEvent struct {
 }
 
 // NewPeer creates a participant named name with the given trust policy,
-// attached to the shared update store.
+// attached to the shared update store. Every NewPeer over the same System
+// and store shares one default-configured Translator.
 func NewPeer(name string, sys *System, store p2p.Store, policy *recon.Policy) (*Peer, error) {
-	return NewPeerWith(name, sys, store, policy, exchange.Config{})
-}
-
-// NewPeerWith is NewPeer with explicit tuning for the peer's translation
-// engine (parallelism, witness bounds, planner escape hatches).
-func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config) (*Peer, error) {
-	s := sys.Schema(name)
-	if s == nil {
-		return nil, fmt.Errorf("%w %q", ErrUnknownPeer, name)
-	}
-	eng, err := exchange.NewEngineWith(sys.Peers(), sys.Mappings(), cfg)
+	tr, err := sys.translator(store)
 	if err != nil {
 		return nil, err
+	}
+	return NewPeerWith(name, policy, tr)
+}
+
+// NewPeerWith creates a participant named name with the given trust policy
+// that reconciles through tr, the translation engine it shares with the
+// other peers of tr's System.
+func NewPeerWith(name string, policy *recon.Policy, tr *Translator) (*Peer, error) {
+	s := tr.sys.Schema(name)
+	if s == nil {
+		return nil, fmt.Errorf("%w %q", ErrUnknownPeer, name)
 	}
 	keyOf := func(rel string, tu schema.Tuple) schema.Tuple {
 		r := s.Relation(rel)
@@ -116,14 +108,13 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 	}
 	return &Peer{
 		name:      name,
-		sys:       sys,
-		store:     store,
+		sys:       tr.sys,
+		store:     tr.store,
 		policy:    policy,
-		engCfg:    cfg,
-		win:       exchange.NewAdaptiveWindow(cfg.ReconcileWindow),
 		local:     storage.NewInstance(s),
 		published: storage.NewInstance(s),
-		engine:    eng,
+		tr:        tr,
+		queryPar:  tr.cfg.Parallelism,
 		state:     recon.NewState(keyOf),
 		tracker:   updates.NewTracker(keyOf),
 		nextSeq:   1,
@@ -144,6 +135,15 @@ func (p *Peer) Epoch() uint64 { return p.lastEpoch }
 
 // Status returns the peer's disposition of a transaction.
 func (p *Peer) Status(id updates.TxnID) recon.Status { return p.state.Status(id) }
+
+// SetQueryParallelism bounds the worker pool of this peer's queries (the
+// datalog.Options.Parallelism semantics). Translation parallelism is a
+// property of the shared Translator.
+func (p *Peer) SetQueryParallelism(n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.queryPar = n
+}
 
 // SetApplyHook installs (or clears, with nil) the observer described on the
 // applyHook field. The hook runs under the peer mutex; it must be fast and
@@ -334,7 +334,10 @@ type ReconcileReport struct {
 // Reconcile fetches newly published transactions from the store, translates
 // them into the local schema via the mappings (maintaining provenance),
 // runs the trust/conflict reconciliation, and applies the accepted
-// transactions to the local instance. The context bounds the translation
+// transactions to the local instance. Translation happens once per System:
+// the first peer to reconcile after a publish drives the shared Translator
+// through the new transactions, and every peer reads the results after its
+// own cursor from the translator's log. The context bounds the translation
 // fixpoints: a reconciliation started with an expired context returns the
 // context error before touching the local instance, and a long chase stops
 // within one fixpoint iteration of cancellation.
@@ -348,64 +351,19 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.reconciles.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
-	if p.engineDirty {
-		if err := p.rebuildEngine(ctx); err != nil {
-			return nil, err
-		}
-	}
-	txns, epoch, err := p.store.Since(p.lastEpoch)
+	entries, epoch, err := p.tr.advance(ctx, p.lastEpoch, &p.obsv, sp)
 	if err != nil {
 		return nil, err
 	}
-	report := &ReconcileReport{Epoch: epoch, Fetched: len(txns)}
-	fresh := txns[:0:0]
-	for _, txn := range txns {
-		if !p.engine.Applied(txn.ID) {
-			fresh = append(fresh, txn)
-		}
-	}
-	// Group-commit: the fetched backlog translates through one seeded
-	// fixpoint per insert-only run (exchange.Engine.ApplyAll) instead of one
-	// per transaction, which is what lets the subscription push pump
-	// coalesce publication bursts. The backlog feeds through in windows
-	// sized by observed drain latency (exchange.AdaptiveWindow): ApplyAll
-	// over consecutive sub-batches is defined to equal one batched call, so
-	// windowing bounds each fixpoint's working set without changing results.
-	results := make([]*exchange.Result, 0, len(fresh))
-	for rest := fresh; len(rest) > 0; {
-		n := p.win.Next(len(rest))
-		dsp := sp.Child("exchange_drain")
-		start := time.Now()
-		rs, err := p.engine.ApplyAll(ctx, rest[:n])
-		if err != nil {
-			// ApplyAll can fail partway through the batch (cooperative
-			// cancellation abandons a half-propagated fixpoint), which the
-			// engine declares fatal: mark it for rebuild rather than ever
-			// re-using the partial state.
-			p.engineDirty = true
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		p.win.Observe(n, elapsed)
-		dsp.End()
-		p.obsv.observeDrain(p.win, n, elapsed)
-		results = append(results, rs...)
-		rest = rest[n:]
-	}
+	report := &ReconcileReport{Epoch: epoch, Fetched: len(entries)}
 	var candidates []*updates.Transaction
-	for i, txn := range fresh {
-		if txn.ID.Peer == p.name {
+	for _, e := range entries {
+		if e.txn.ID.Peer == p.name {
 			// Our own published transaction coming back: already applied
 			// locally at commit time.
 			continue
 		}
-		cand := &updates.Transaction{
-			ID:      txn.ID,
-			Epoch:   txn.Epoch,
-			Updates: results[i].PerPeer[p.name],
-			Deps:    mergeDeps(txn.Deps, results[i].ExtraDeps[p.name]),
-		}
-		candidates = append(candidates, cand)
+		candidates = append(candidates, p.candidate(e))
 	}
 	outcome, err := p.state.Reconcile(p.policy, candidates)
 	if err != nil {
@@ -415,56 +373,22 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		return nil, err
 	}
 	p.lastEpoch = epoch
+	p.tr.commit(p.name, epoch)
 	report.sort()
 	return report, nil
 }
 
-// rebuildEngine replaces a dirty translation engine with a fresh one. On a
-// durable peer it restores the last engine snapshot first and replays only
-// the published suffix between the snapshot's watermark and lastEpoch;
-// without a usable snapshot it replays the whole history up to lastEpoch
-// (those transactions already reached reconciliation in completed rounds;
-// everything later re-enters through the normal Reconcile loop, which also
-// regenerates its candidates). Called under the peer mutex. If the replay
-// itself fails — e.g. the caller's deadline expires again — the engine
-// stays dirty and the next Reconcile retries the rebuild.
-func (p *Peer) rebuildEngine(ctx context.Context) error {
-	eng, err := exchange.NewEngineWith(p.sys.Peers(), p.sys.Mappings(), p.engCfg)
-	if err != nil {
-		return err
+// candidate is a translated transaction as this peer sees it: the updates
+// it induces in the peer's schema, depending on the publisher's
+// dependencies plus every transaction whose data contributed to a derived
+// insert.
+func (p *Peer) candidate(e logEntry) *updates.Transaction {
+	return &updates.Transaction{
+		ID:      e.txn.ID,
+		Epoch:   e.txn.Epoch,
+		Updates: e.res.PerPeer[p.name],
+		Deps:    mergeDeps(e.txn.Deps, e.res.ExtraDeps[p.name]),
 	}
-	since := uint64(0)
-	if p.db != nil {
-		sn := p.db.Snapshot()
-		raw, ok, gerr := sn.Get(ekKey(p.name))
-		sn.Close()
-		if gerr == nil && ok {
-			// Best-effort: a snapshot that fails to decode or load just
-			// leaves the fresh engine on the full-replay path.
-			if snap, derr := decodeEngineBlob(raw); derr == nil && snap.Watermark <= p.lastEpoch {
-				if eng.LoadState(snap.Engine) == nil {
-					since = snap.Watermark
-				}
-			}
-		}
-	}
-	txns, _, err := p.store.Since(since)
-	if err != nil {
-		return err
-	}
-	replay := txns[:0:0]
-	for _, txn := range txns {
-		if txn.Epoch > p.lastEpoch {
-			break
-		}
-		replay = append(replay, txn)
-	}
-	if _, err := eng.ApplyAll(ctx, replay); err != nil {
-		return err
-	}
-	p.engine = eng
-	p.engineDirty = false
-	return nil
 }
 
 // Resolve settles a deferred conflict in favor of winner (site-administrator

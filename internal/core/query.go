@@ -137,7 +137,7 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	edb := p.local.SnapshotDB()
 	opts := datalog.Options{
 		Provenance:  !q.NoProvenance,
-		Parallelism: p.engCfg.Parallelism,
+		Parallelism: p.queryPar,
 		Stats:       q.Stats,
 	}
 	if opts.Stats == nil {

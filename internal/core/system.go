@@ -9,6 +9,7 @@
 //	sys, _ := core.NewSystem(peers, mappings)
 //	store := p2p.NewMemoryStore()
 //	alice, _ := core.NewPeer("alice", sys, store, recon.TrustAll(1))
+//	bob, _ := core.NewPeer("bob", sys, store, recon.TrustAll(1))
 //	tx := alice.NewTransaction()
 //	tx.Insert("R", tuple)
 //	tx.Commit()
@@ -18,8 +19,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
+	"orchestra/internal/exchange"
 	"orchestra/internal/mapping"
+	"orchestra/internal/p2p"
 	"orchestra/internal/schema"
 )
 
@@ -28,6 +32,11 @@ import (
 type System struct {
 	peers    map[string]*schema.Schema
 	mappings []*mapping.Mapping
+
+	// mu guards translators: the default-configured Translator NewPeer
+	// shares among the peers it opens over each store.
+	mu          sync.Mutex
+	translators map[p2p.Store]*Translator
 }
 
 // NewSystem validates and packages a CDSS configuration.
@@ -51,7 +60,7 @@ func NewSystem(peers map[string]*schema.Schema, mappings []*mapping.Mapping) (*S
 			return nil, fmt.Errorf("%w %s (target of mapping %s)", ErrUnknownPeer, m.Target, m.ID)
 		}
 	}
-	return &System{peers: peers, mappings: mappings}, nil
+	return &System{peers: peers, mappings: mappings, translators: map[p2p.Store]*Translator{}}, nil
 }
 
 // Schema returns the schema of the named peer, or nil.
@@ -62,3 +71,21 @@ func (s *System) Peers() map[string]*schema.Schema { return s.peers }
 
 // Mappings returns the mapping list (shared; treat as read-only).
 func (s *System) Mappings() []*mapping.Mapping { return s.mappings }
+
+// translator returns the default-configured Translator shared by every
+// NewPeer over store, creating it on first use. Stores are compared by
+// identity, so store must be a comparable value (every p2p store is a
+// pointer).
+func (s *System) translator(store p2p.Store) (*Translator, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.translators[store]; ok {
+		return t, nil
+	}
+	t, err := NewTranslator(s, store, exchange.Config{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.translators[store] = t
+	return t, nil
+}

@@ -40,8 +40,11 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 	windows := []int{1, 2, 0, -1}
 	receivers := make([]*Peer, len(windows))
 	for i, win := range windows {
-		p, err := NewPeerWith(workload.Beijing, sys, store, recon.TrustAll(1),
-			exchange.Config{ReconcileWindow: win})
+		tr, err := NewTranslator(sys, store, exchange.Config{ReconcileWindow: win}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPeerWith(workload.Beijing, recon.TrustAll(1), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +71,7 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 
 // TestReconcileWindowAcrossRounds checks a fixed tiny window keeps working
 // over multiple Reconcile rounds with interleaved publishes (the window
-// state persists on the peer between rounds).
+// state persists on the translator between rounds).
 func TestReconcileWindowAcrossRounds(t *testing.T) {
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {
@@ -79,8 +82,11 @@ func TestReconcileWindowAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beijing, err := NewPeerWith(workload.Beijing, sys, store, recon.TrustAll(1),
-		exchange.Config{ReconcileWindow: 1})
+	tr, err := NewTranslator(sys, store, exchange.Config{ReconcileWindow: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beijing, err := NewPeerWith(workload.Beijing, recon.TrustAll(1), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

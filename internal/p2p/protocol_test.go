@@ -213,3 +213,83 @@ func TestClientHonorsContextCancellation(t *testing.T) {
 		t.Fatal("cancellation did not unblock the request")
 	}
 }
+
+// TestServerRejectsOversizedRequest: a request line past maxRequestBytes is
+// answered with the typed frame-limit error and the connection is closed,
+// instead of being buffered whole.
+func TestServerRejectsOversizedRequest(t *testing.T) {
+	srv, err := NewServer(NewMemoryStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// A full limit's worth of bytes and no newline yet: the server consumes
+	// every byte before it can tell, so it closes with nothing unread.
+	chunk := []byte(strings.Repeat("x", 64<<10))
+	for left := maxRequestBytes; left > 0; left -= len(chunk) {
+		if _, err := conn.Write(chunk[:min(left, len(chunk))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReader(conn)
+	var resp response
+	if err := json.NewDecoder(r).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != "request_too_large" {
+		t.Fatalf("response = %+v", resp)
+	}
+	err = (&wireError{msg: resp.Error, sentinel: sentinelForCode(resp.Code)})
+	if !errors.Is(err, ErrRequestTooLarge) {
+		t.Errorf("code %q does not rebuild ErrRequestTooLarge", resp.Code)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("connection still open after an oversized request")
+	}
+	// The server keeps serving other clients.
+	if resp := rawRequest(t, srv.Addr(), `{"op":"epoch"}`); !resp.OK {
+		t.Errorf("epoch after oversized request: %+v", resp)
+	}
+}
+
+// TestServerClosesIdleConnection: a client that connects and sends nothing
+// loses its connection after the idle timeout.
+func TestServerClosesIdleConnection(t *testing.T) {
+	saved := idleTimeout
+	idleTimeout = 50 * time.Millisecond
+	srv, err := NewServer(NewMemoryStore(), "127.0.0.1:0")
+	idleTimeout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request inside the window is served and re-arms the deadline.
+	if _, err := conn.Write([]byte(`{"op":"epoch"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	if _, err := r.ReadBytes('\n'); err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	start := time.Now()
+	if _, err := r.ReadByte(); err == nil {
+		t.Fatal("idle connection delivered data")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server kept the idle connection open for 5s")
+	}
+	if waited := time.Since(start); waited > 4*time.Second {
+		t.Errorf("idle connection closed after %v", waited)
+	}
+}

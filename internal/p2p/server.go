@@ -3,12 +3,30 @@ package p2p
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"orchestra/internal/updates"
 )
+
+// maxRequestBytes bounds one request line. A publish burst of thousands of
+// transactions stays far below it; a client that sends more is answered
+// with ErrRequestTooLarge and disconnected, so no connection can make the
+// server buffer an unbounded line.
+const maxRequestBytes = 16 << 20
+
+// idleTimeout bounds how long a connection may sit between requests (or
+// take to deliver one) before the server closes it, so a silent client
+// cannot hold a goroutine forever. NewServer reads it once per server;
+// it is a variable only so tests can shorten it.
+var idleTimeout = 2 * time.Minute
+
+// ErrRequestTooLarge reports a request line longer than the server's frame
+// limit. Identity survives the TCP protocol like ErrAlreadyPublished.
+var ErrRequestTooLarge = errors.New("p2p: request exceeds the server's frame limit")
 
 // Server exposes a Store over TCP with a JSON-lines protocol: one request
 // per line, one response per line. It plays the role of one node of the
@@ -16,6 +34,7 @@ import (
 type Server struct {
 	store    Store
 	ln       net.Listener
+	idle     time.Duration
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
 	closed   bool
@@ -31,7 +50,7 @@ func NewServer(store Store, addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{store: store, ln: ln, conns: map[net.Conn]bool{}}
+	s := &Server{store: store, ln: ln, idle: idleTimeout, conns: map[net.Conn]bool{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -87,7 +106,12 @@ func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
-		line, err := r.ReadBytes('\n')
+		_ = conn.SetReadDeadline(time.Now().Add(s.idle))
+		line, err := readRequest(r)
+		if errors.Is(err, ErrRequestTooLarge) {
+			_ = enc.Encode(response{Error: err.Error(), Code: errCodeFor(err)})
+			return
+		}
 		if err != nil {
 			return
 		}
@@ -97,6 +121,26 @@ func (s *Server) serve(conn net.Conn) {
 			continue
 		}
 		_ = enc.Encode(s.handle(req))
+	}
+}
+
+// readRequest reads one newline-terminated request line of at most
+// maxRequestBytes (newline included), failing with ErrRequestTooLarge as
+// soon as the line cannot fit.
+func readRequest(r *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(line)+len(frag) > maxRequestBytes {
+			return nil, ErrRequestTooLarge
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		if len(line) == maxRequestBytes {
+			return nil, ErrRequestTooLarge
+		}
 	}
 }
 

@@ -113,23 +113,23 @@ type response struct {
 
 // Wire error codes. Every sentinel that must survive the TCP protocol gets
 // a stable code; unknown codes degrade to a plain string error.
-const codeAlreadyPublished = "already_published"
+var wireCodes = map[string]error{
+	"already_published": ErrAlreadyPublished,
+	"request_too_large": ErrRequestTooLarge,
+}
 
 // errCodeFor maps an error to its wire code ("" when it has none).
 func errCodeFor(err error) string {
-	if errors.Is(err, ErrAlreadyPublished) {
-		return codeAlreadyPublished
+	for code, sentinel := range wireCodes {
+		if errors.Is(err, sentinel) {
+			return code
+		}
 	}
 	return ""
 }
 
 // sentinelForCode maps a wire code back to the sentinel it stands for.
-func sentinelForCode(code string) error {
-	if code == codeAlreadyPublished {
-		return ErrAlreadyPublished
-	}
-	return nil
-}
+func sentinelForCode(code string) error { return wireCodes[code] }
 
 // wireError is a server-reported error rebuilt on the client with its
 // sentinel identity: Error() keeps the server's exact message, Unwrap makes

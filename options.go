@@ -2,14 +2,19 @@ package orchestra
 
 import "time"
 
-// Option tunes Open (system-wide defaults) and System.Peer (per-peer
-// overrides). Options replace the exported configuration structs the
-// internal layers use; the zero configuration is always valid.
+// Option tunes Open (system-wide settings and per-peer defaults) and
+// System.Peer (per-peer overrides). Options replace the exported
+// configuration structs the internal layers use; the zero configuration is
+// always valid.
 //
 // These options also work per peer, at System.Peer: WithParallelism,
-// WithReconcileWindow, WithMaxMonomials, WithProvenance, WithTrustPolicy,
-// WithStrictConflicts and WithSlowOpThreshold. WithStore, WithDurableDir
-// and WithMetrics configure the whole system: System.Peer rejects them.
+// WithProvenance, WithTrustPolicy, WithStrictConflicts and
+// WithSlowOpThreshold. Every peer of a System reconciles through one
+// shared translation engine, so per peer WithParallelism bounds only that
+// peer's queries; given to Open it also bounds translation. WithStore,
+// WithDurableDir, WithMetrics, WithMaxMonomials and WithReconcileWindow
+// configure the whole system (the last two shape the shared translation):
+// System.Peer rejects them.
 type Option func(*settings)
 
 // settings is the resolved option set. A peer starts from the system's
@@ -43,7 +48,7 @@ func (s settings) apply(opts []Option) settings {
 // differ in every system-level field and reports the field that moved.
 func systemOnly(opts []Option) string {
 	off := settings{}.apply(opts)
-	on := settings{metrics: true}.apply(opts)
+	on := settings{metrics: true, maxMonomials: 1, reconcileWindow: 1}.apply(opts)
 	switch {
 	case off.store != nil:
 		return "WithStore"
@@ -51,30 +56,38 @@ func systemOnly(opts []Option) string {
 		return "WithDurableDir"
 	case off.metrics || !on.metrics:
 		return "WithMetrics"
+	case off.maxMonomials != 0 || on.maxMonomials != 1:
+		return "WithMaxMonomials"
+	case off.reconcileWindow != 0 || on.reconcileWindow != 1:
+		return "WithReconcileWindow"
 	}
 	return ""
 }
 
-// WithParallelism bounds the worker pool evaluating independent mapping
-// rules within a fixpoint round. 0 (the default) adapts: each round picks
-// a worker count from its delta size and the CPU count, falling back to
+// WithParallelism bounds the worker pool evaluating independent rules
+// within a fixpoint round. 0 (the default) adapts: each round picks a
+// worker count from its delta size and the CPU count, falling back to
 // sequential evaluation when the round is too small to amortize fan-out.
 // n > 1 forces n workers; 1 or negative forces sequential evaluation.
-// Results are byte-identical at every setting.
+// Results are byte-identical at every setting. At Open it bounds the
+// System's update translation and is every peer's query default; at
+// System.Peer it bounds that peer's queries only.
 func WithParallelism(n int) Option { return func(s *settings) { s.parallelism = n } }
 
-// WithReconcileWindow bounds how many fetched transactions one Reconcile
-// feeds through a single group-committed translation fixpoint. 0 (the
-// default) sizes windows adaptively from the observed backlog and drain
-// latency; n > 0 pins the window to n transactions; negative translates
-// the whole backlog as one batch. Results are identical at every setting —
-// the window only trades peak memory and time-to-first-change against
-// per-batch amortization.
+// WithReconcileWindow bounds how many fetched transactions the System's
+// translator feeds through a single group-committed translation fixpoint.
+// 0 (the default) sizes windows adaptively from the observed backlog and
+// drain latency; n > 0 pins the window to n transactions; negative
+// translates the whole backlog as one batch. Results are identical at
+// every setting — the window only trades peak memory and
+// time-to-first-change against per-batch amortization. System-level:
+// System.Peer rejects it.
 func WithReconcileWindow(n int) Option { return func(s *settings) { s.reconcileWindow = n } }
 
 // WithMaxMonomials bounds each tuple's provenance witness set. 0 (the
 // default) keeps the engine default (8); negative removes the bound, at
-// combinatorial cost on dense mapping graphs.
+// combinatorial cost on dense mapping graphs. It shapes the translations
+// every peer shares, so it is system-level: System.Peer rejects it.
 func WithMaxMonomials(n int) Option { return func(s *settings) { s.maxMonomials = n } }
 
 // WithProvenance toggles provenance on query answers, subscription changes,

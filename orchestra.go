@@ -17,11 +17,15 @@ import (
 )
 
 // System is an open confederation: the shared published-update store, the
-// compiled mappings, and the peers opened against them. It is the facade's
-// root object; create one with Open and release it with Close.
+// compiled mappings, the one translation engine every peer reconciles
+// through, and the peers opened against them. It is the facade's root
+// object; create one with Open and release it with Close.
 type System struct {
-	core     *core.System
-	store    Store
+	core  *core.System
+	store Store
+	// tr translates each published transaction once for every open peer
+	// (see core.Translator).
+	tr       *core.Translator
 	base     settings
 	policies map[string]*TrustPolicy
 	// db is the durable LSM tier (WithDurableDir); nil for in-memory
@@ -48,9 +52,10 @@ type System struct {
 }
 
 // Open validates the confederation description and opens a System over it.
-// Options set system-wide defaults (parallelism, witness bounds, the shared
-// store, the default trust policy); System.Peer can override the trust
-// policy per peer.
+// Options set system-wide settings (translation parallelism, witness
+// bounds, the reconcile window, the shared store) and per-peer defaults
+// (the trust policy, query parallelism); System.Peer can override the
+// per-peer ones.
 func Open(sch *Schema, opts ...Option) (*System, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("orchestra: Open with a nil schema")
@@ -86,10 +91,23 @@ func Open(sch *Schema, opts ...Option) (*System, error) {
 	if store == nil {
 		store = NewMemoryStore()
 	}
+	tr, err := core.NewTranslator(cs, store, exchange.Config{
+		Parallelism:     base.parallelism,
+		MaxMonomials:    base.maxMonomials,
+		ReconcileWindow: base.reconcileWindow,
+		Stats:           stats,
+	}, db)
+	if err != nil {
+		if db != nil {
+			db.Close()
+		}
+		return nil, wrapErr(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &System{
 		core:     cs,
 		store:    store,
+		tr:       tr,
 		base:     base,
 		policies: policies,
 		db:       db,
@@ -126,24 +144,19 @@ func (s *System) Peer(name string, opts ...Option) (*Peer, error) {
 	if pol == s.base.policy { // not overridden per peer: schema declarations win
 		pol = policyFor(s.policies, s.base.policy, name)
 	}
-	cfg := exchange.Config{
-		Parallelism:     set.parallelism,
-		MaxMonomials:    set.maxMonomials,
-		ReconcileWindow: set.reconcileWindow,
-		Stats:           s.stats,
-	}
 	var cp *core.Peer
 	var err error
 	if s.db != nil {
 		// Durable tier: the peer comes back from its last checkpoint plus a
 		// replay of the published suffix, instead of starting empty.
-		cp, err = core.RecoverPeerWith(s.ctx, name, s.core, s.store, pol, cfg, s.db)
+		cp, err = core.RecoverPeerWith(s.ctx, name, pol, s.tr)
 	} else {
-		cp, err = core.NewPeerWith(name, s.core, s.store, pol, cfg)
+		cp, err = core.NewPeerWith(name, pol, s.tr)
 	}
 	if err != nil {
 		return nil, wrapErr(err)
 	}
+	cp.SetQueryParallelism(set.parallelism)
 	p := &Peer{
 		sys:       s,
 		name:      name,
@@ -164,14 +177,15 @@ func (s *System) Peer(name string, opts ...Option) (*Peer, error) {
 func (s *System) Epoch() (uint64, error) { return s.store.Epoch() }
 
 // ReconcileAll reconciles every open peer once, in deterministic (name)
-// order, and returns the per-peer reports. Each peer translates its
-// fetched backlog in group-commit windows sized adaptively from observed
-// drain latency (see Peer.Reconcile and WithReconcileWindow), so draining
-// a publication burst across the confederation costs a handful of seeded
-// fixpoints per peer rather than one per transaction. On error the partial report map
-// is returned alongside it; with WithStrictConflicts a deferred conflict at
-// any peer surfaces as ErrConflictPending, after later peers have still
-// been reconciled.
+// order, and returns the per-peer reports. The first peer drives the
+// System's translator through the fetched backlog in group-commit windows
+// sized adaptively from observed drain latency (see Peer.Reconcile and
+// WithReconcileWindow); the others read the same translations, so
+// draining a publication burst across the confederation costs a handful
+// of seeded fixpoints in total rather than one per transaction per peer.
+// On error the partial report map is returned alongside it; with
+// WithStrictConflicts a deferred conflict at any peer surfaces as
+// ErrConflictPending, after later peers have still been reconciled.
 func (s *System) ReconcileAll(ctx context.Context) (map[string]*ReconcileReport, error) {
 	if s.ctx.Err() != nil {
 		return nil, ErrClosed

@@ -117,12 +117,13 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 }
 
 // Checkpoint durably snapshots the peer's full state — instance rows with
-// provenance, the translation-engine snapshot (union database, token
-// bookkeeping, applied set), the trust state with every settled conflict,
-// the dependency tracker, and the committed-but-unpublished transaction
-// queue — into the system's LSM tier as one atomic fsynced batch. After a
-// crash, System.Peer restores the snapshot and replays only the published
-// suffix after the checkpoint epoch; local commits made after the last
+// provenance, the trust state with every settled conflict, the dependency
+// tracker, and the committed-but-unpublished transaction queue — into the
+// system's LSM tier as one atomic fsynced batch, together with the
+// System's translation-engine snapshot (union database, token bookkeeping,
+// applied set) when the engine has moved to this peer's epoch since the
+// last one. After a crash, System.Peer restores the checkpoint and replays
+// only the published suffix after the checkpoint epoch; local commits made after the last
 // checkpoint or publish are the only thing a crash can lose. On a durable
 // system checkpoints also happen automatically after every successful
 // publish and at System.Close; call this to bound the loss window between
@@ -140,7 +141,7 @@ func (p *Peer) Checkpoint() error {
 	return nil
 }
 
-// SnapshotStats summarizes a peer's durable engine snapshot.
+// SnapshotStats summarizes the System's durable engine snapshot.
 type SnapshotStats struct {
 	// Preds, Facts, PolyNodes, and Vars describe the snapshot's union
 	// database: predicates with encoded extents, total facts, distinct
@@ -148,21 +149,23 @@ type SnapshotStats struct {
 	Preds, Facts, PolyNodes, Vars int
 	// Bytes is the full encoded snapshot size.
 	Bytes int
-	// Epoch is the store epoch the snapshot is valid at: recovery replays
-	// only transactions published after it.
+	// Epoch is the store epoch the snapshot is valid at: a recovering
+	// peer whose checkpoint is at or after it starts translation from the
+	// snapshot and replays only transactions published after it.
 	Epoch uint64
 }
 
-// SnapshotStats reports the peer's durable engine snapshot without
-// materializing it — what `orchestra inspect` dumps. ok is false when the
-// peer has no snapshot yet (no checkpoint has run, or the last one found
-// the engine unusable and skipped the snapshot). Returns an error on
+// SnapshotStats reports the durable engine snapshot without materializing
+// it — what `orchestra inspect` dumps. Every peer of a System reconciles
+// through one translation engine, so there is one snapshot per System and
+// every peer reports the same one. ok is false when there is no snapshot
+// yet (no checkpoint has run at a translated epoch). Returns an error on
 // in-memory systems.
 func (p *Peer) SnapshotStats() (stats SnapshotStats, ok bool, err error) {
 	if p.sys.db == nil {
 		return SnapshotStats{}, false, fmt.Errorf("orchestra: peer %s: SnapshotStats requires a durable system (open with WithDurableDir)", p.name)
 	}
-	st, epoch, ok, err := core.EngineSnapshotStats(p.sys.db, p.name)
+	st, epoch, ok, err := core.EngineSnapshotStats(p.sys.db)
 	if err != nil || !ok {
 		return SnapshotStats{}, false, wrapErr(err)
 	}
